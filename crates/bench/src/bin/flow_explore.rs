@@ -205,7 +205,7 @@ fn main() {
     println!("\ncritical paths ({} measured windows):", report.windows.len());
     let mut last_path = None;
     for (i, &w) in report.windows.iter().enumerate() {
-        match graph.critical_path(&events, w) {
+        match graph.critical_path(w) {
             Some(cp) => {
                 println!(
                     "  window {i}: {:>9.2} us  {}",
@@ -277,16 +277,15 @@ fn main() {
         McastMode::HostBased => McastMode::NicBased,
     };
     let other = run_mode(&o, other_mode);
-    let other_events = other.probe.to_vec();
-    let other_graph = FlowGraph::build(&other_events);
-    let sig = |r: &Report, g: &FlowGraph, ev: &[gm_sim::ProbeEvent]| -> Option<(String, SimDuration)> {
+    let other_graph = FlowGraph::build(&other.probe.to_vec());
+    let sig = |r: &Report, g: &FlowGraph| -> Option<(String, SimDuration)> {
         let &w = r.windows.last()?;
-        let cp = g.critical_path(ev, w)?;
+        let cp = g.critical_path(w)?;
         Some((cp.signature(), cp.total))
     };
     if let (Some((a, ta)), Some((b, tb))) = (
-        sig(&report, &graph, &events),
-        sig(&other, &other_graph, &other_events),
+        sig(&report, &graph),
+        sig(&other, &other_graph),
     ) {
         println!("\ncritical-path diff (final window):");
         println!(

@@ -243,7 +243,10 @@ fn check(o: &Opts, report: &WorkloadReport) -> Vec<String> {
 fn main() {
     let started = std::time::Instant::now();
     let o = parse();
-    let report = run(&o, o.shards);
+    let (report, run_wall, drive) = bench::phases::timed_run(|| run(&o, o.shards));
+    let summarize_started = std::time::Instant::now();
+    let gauges = report.series.summarize(report.end_time).len();
+    let summarize = summarize_started.elapsed();
 
     let mut by_detector: std::collections::BTreeMap<&str, (usize, u64, &Incident)> =
         std::collections::BTreeMap::new();
@@ -273,6 +276,8 @@ fn main() {
         report.metrics.get("nic.retransmissions") + report.metrics.get("nic.mcast_retransmissions"),
         report.admission_waits,
     );
+    println!("  gauges:           {gauges} (node, gauge) step functions summarized");
+    println!("  {}", bench::phases::line(run_wall, drive, summarize));
 
     let total = report.incidents.iter().filter(|i| !i.is_exec()).count();
     println!("\nincidents ({total}, by detector — peak firing shown with its evidence):");

@@ -216,7 +216,7 @@ fn main() {
         }
     };
     let scheduled = built.messages();
-    let report = built.run();
+    let (report, run_wall, drive) = bench::phases::timed_run(|| built.run());
 
     println!(
         "{} nodes, {} groups, {} scheduled messages over {:.2} ms simulated:",
@@ -260,7 +260,9 @@ fn main() {
     }
 
     // Group-table occupancy telemetry: the busiest node's gauge history.
+    let summarize_started = std::time::Instant::now();
     let summaries: Vec<GaugeSummary> = report.series.summarize(report.end_time);
+    let summarize = summarize_started.elapsed();
     if let Some(s) = summaries
         .iter()
         .filter(|s| s.gauge == "groups_used")
@@ -298,6 +300,7 @@ fn main() {
     }
 
     println!("\nsummary: {}", report.summary_json());
+    println!("{}", bench::phases::line(run_wall, drive, summarize));
     if report.metrics.get("parallel.shards") > 1 {
         bench::perf::note_imbalance(report.metrics.get("parallel.event_imbalance_pct"));
     }

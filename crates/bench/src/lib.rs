@@ -288,6 +288,41 @@ pub fn write_json_sweep<T: Serialize>(name: &str, sweep: &Sweep, rows: &T) {
     write_json(name, &doc);
 }
 
+/// Host-time phase split of one workload run, for the explorers' stdout.
+/// Host time is not deterministic, so it never goes into a JSON artifact.
+pub mod phases {
+    use std::time::{Duration, Instant};
+
+    /// Run `f` (a `Workload` build and run), returning its result, its wall
+    /// time and the part of it spent in the engine's dispatch loops (read
+    /// from `gm_sim::dispatch_stats`; summed over shard threads when the
+    /// run is sharded).
+    pub fn timed_run<T>(f: impl FnOnce() -> T) -> (T, Duration, Duration) {
+        let (_, before) = gm_sim::dispatch_stats::snapshot();
+        let started = Instant::now();
+        let out = f();
+        let wall = started.elapsed();
+        let (_, after) = gm_sim::dispatch_stats::snapshot();
+        (out, wall, after.saturating_sub(before))
+    }
+
+    /// The one-line split: drive (dispatch loops), `summarize`, and
+    /// everything else the run did (harvest, detectors, evidence).
+    pub fn line(wall: Duration, drive: Duration, summarize: Duration) -> String {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let rest = wall.saturating_sub(drive);
+        let total = wall + summarize;
+        format!(
+            "host time: drive {:.1} ms, summarize {:.1} ms, evidence + rest of analysis {:.1} ms \
+             ({:.0}% outside dispatch)",
+            ms(drive),
+            ms(summarize),
+            ms(rest),
+            100.0 * (rest + summarize).as_secs_f64() / total.as_secs_f64().max(f64::MIN_POSITIVE),
+        )
+    }
+}
+
 /// Dispatch-performance recording: each figure binary can report its
 /// process-wide engine throughput into `results/perf_baseline.json`, keyed
 /// by binary name, merging with records from other binaries. The file is the

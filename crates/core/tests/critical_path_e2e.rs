@@ -30,7 +30,7 @@ fn nic_broadcast_16x4k_buckets_sum_to_completion_latency() {
     assert_eq!(graph.validate(), Vec::<String>::new());
     for (i, &(ws, we)) in out.windows.iter().enumerate() {
         let cp = graph
-            .critical_path(&events, (ws, we))
+            .critical_path((ws, we))
             .unwrap_or_else(|| panic!("window {i} has no delivery"));
         assert_eq!(cp.total, we.saturating_since(ws), "window {i} total");
         assert_eq!(cp.bucket_sum(), cp.total, "window {i} buckets must sum");

@@ -95,8 +95,8 @@ fn assert_bit_identical(run: &McastRun, shards: u32) {
         assert_eq!(ga.lineage(f), gb.lineage(f), "lineage of {f}");
     }
     for (i, w) in a.windows.iter().enumerate() {
-        let ca = ga.critical_path(&pa, *w);
-        let cb = gb.critical_path(&pb, *w);
+        let ca = ga.critical_path(*w);
+        let cb = gb.critical_path(*w);
         assert_eq!(ca, cb, "critical path of window {i}");
     }
 }

@@ -36,7 +36,7 @@ fn bcast_signature(skewed_rank: Option<u32>) -> String {
     let graph = FlowGraph::build(&events);
     assert_eq!(graph.validate(), Vec::<String>::new());
     let cp = graph
-        .critical_path(&events, (SimTime::ZERO, out.end_time))
+        .critical_path((SimTime::ZERO, out.end_time))
         .expect("run delivers the broadcast");
     assert_eq!(cp.bucket_sum(), cp.total, "buckets must sum to the window");
     cp.signature()

@@ -24,6 +24,12 @@
 //!   per-hop / per-resource buckets that **sum exactly** to the window
 //!   length: a boundary sweep assigns every nanosecond to the innermost
 //!   covering chain span, or to `wait` when no chain span covers it.
+//!
+//! [`FlowGraph::build`] is the only pass over the stream. Besides the
+//! per-flow facts it pairs Begin/End records into spans, files each span
+//! under its flow, and indexes the deliveries by `(time, seq)`, so a
+//! critical-path query is a binary search plus a walk over the chain's own
+//! spans: O(E log E) once per run, never windows × events.
 
 use std::collections::BTreeMap;
 
@@ -53,51 +59,123 @@ struct FlowInfo {
     has_host: bool,
     /// The causal predecessor hop (filled by the link pass).
     pred: Option<FlowId>,
+    /// The flow's closed spans, in the stream order of the records that
+    /// closed them.
+    spans: Vec<Span>,
+}
+
+/// Number of probe tracks: [`Track::App`] has the largest [`Track::tid`].
+const TRACKS: usize = Track::App.tid() as usize + 1;
+
+/// The open span of one (node, track): its start and, if the Begin that
+/// opened it was flow-tagged, its flow's slot.
+type OpenSpan = Option<(u64, Option<usize>)>;
+
+/// One closed span of a flow: a Begin/End pair (the End inherits the flow
+/// of the Begin that opened it) or a Complete record.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    /// Start and end, in nanoseconds.
+    start: u64,
+    end: u64,
+    /// Track of the closing record.
+    track: Track,
 }
 
 /// The causal links between the flows of one recorded run.
 #[derive(Clone, Debug, Default)]
 pub struct FlowGraph {
     flows: BTreeMap<FlowId, FlowInfo>,
+    /// Every flow-tagged [`FLOW_DELIVERY`] record as `(time, seq, flow)`,
+    /// sorted by `(time, seq)`; the sort is stable, so equal keys keep
+    /// stream order.
+    deliveries: Vec<(SimTime, u64, FlowId)>,
 }
 
 impl FlowGraph {
     /// Build the graph from a canonical probe stream (events in
     /// `(time, seq)` record order, e.g. `ProbeSink::to_vec`).
+    ///
+    /// The same walk pairs Begin/End records per `(node, track)` into
+    /// spans: an End inherits the flow of the Begin that opened it, a later
+    /// Begin overwrites an open one, and an End with nothing open is
+    /// ignored. Complete records are spans on their own.
     pub fn build(events: &[ProbeEvent]) -> FlowGraph {
-        let mut flows: BTreeMap<FlowId, FlowInfo> = BTreeMap::new();
+        // Flows live in a Vec while the stream is walked (the map holds
+        // their slots), so an open span can name its flow by slot.
+        let mut slot_of: BTreeMap<FlowId, usize> = BTreeMap::new();
+        let mut ids: Vec<FlowId> = Vec::new();
+        let mut infos: Vec<FlowInfo> = Vec::new();
+        let mut deliveries: Vec<(SimTime, u64, FlowId)> = Vec::new();
+        let mut open: Vec<[OpenSpan; TRACKS]> = Vec::new();
         for e in events {
-            if e.flow.is_none() {
-                continue;
-            }
-            let key = (e.time, e.seq);
-            let info = flows.entry(e.flow).or_insert_with(|| FlowInfo {
-                first: key,
-                first_node: e.node,
-                node_first: Vec::new(),
-                delivery: None,
-                has_host: false,
-                pred: None,
-            });
-            if key < info.first {
-                info.first = key;
-                info.first_node = e.node;
-            }
-            match info.node_first.iter_mut().find(|(n, _, _)| *n == e.node) {
-                Some(slot) => {
-                    if (slot.1, slot.2) > key {
-                        (slot.1, slot.2) = key;
-                    }
+            let fi = e.flow.is_some().then(|| {
+                let key = (e.time, e.seq);
+                let fi = *slot_of.entry(e.flow).or_insert_with(|| {
+                    ids.push(e.flow);
+                    infos.push(FlowInfo {
+                        first: key,
+                        first_node: e.node,
+                        node_first: Vec::new(),
+                        delivery: None,
+                        has_host: false,
+                        pred: None,
+                        spans: Vec::new(),
+                    });
+                    infos.len() - 1
+                });
+                let info = &mut infos[fi];
+                if key < info.first {
+                    info.first = key;
+                    info.first_node = e.node;
                 }
-                None => info.node_first.push((e.node, e.time, e.seq)),
-            }
-            if e.id.name == FLOW_DELIVERY.name {
-                info.delivery = Some(info.delivery.map_or(key, |d| d.max(key)));
-            }
-            if e.id.track == Track::Host {
-                info.has_host = true;
+                match info.node_first.iter_mut().find(|(n, _, _)| *n == e.node) {
+                    Some(slot) => {
+                        if (slot.1, slot.2) > key {
+                            (slot.1, slot.2) = key;
+                        }
+                    }
+                    None => info.node_first.push((e.node, e.time, e.seq)),
+                }
+                if e.id.name == FLOW_DELIVERY.name {
+                    info.delivery = Some(info.delivery.map_or(key, |d| d.max(key)));
+                    deliveries.push((e.time, e.seq, e.flow));
+                }
+                if e.id.track == Track::Host {
+                    info.has_host = true;
+                }
+                fi
+            });
+
+            // Span pairing sees every record: a flowless Begin still
+            // overwrites an open span. Flowless spans are then dropped.
+            let t = e.time.as_nanos();
+            let (node, track) = (e.node as usize, e.id.track.tid() as usize);
+            let closed = match e.phase {
+                Phase::Begin => {
+                    if node >= open.len() {
+                        open.resize(node + 1, [None; TRACKS]);
+                    }
+                    open[node][track] = Some((t, fi));
+                    None
+                }
+                Phase::End => open
+                    .get_mut(node)
+                    .and_then(|tracks| tracks[track].take())
+                    .and_then(|(start, f)| Some((f?, start, t))),
+                Phase::Complete => fi.map(|f| (f, t, t + e.dur.as_nanos())),
+                Phase::Mark => None,
+            };
+            if let Some((f, start, end)) = closed {
+                infos[f].spans.push(Span {
+                    start,
+                    end,
+                    track: e.id.track,
+                });
             }
         }
+        deliveries.sort_by_key(|&(t, s, _)| (t, s));
+        let mut flows: BTreeMap<FlowId, FlowInfo> = ids.into_iter().zip(infos).collect();
 
         // Link pass: index flows by (dest, tag), then find each flow's
         // predecessor hop at its start node.
@@ -134,7 +212,7 @@ impl FlowGraph {
         for (g, p) in preds {
             flows.get_mut(&g).expect("pred source flow exists").pred = Some(p);
         }
-        FlowGraph { flows }
+        FlowGraph { flows, deliveries }
     }
 
     /// All flows seen, in `FlowId` order.
@@ -213,53 +291,25 @@ impl FlowGraph {
     /// lineage of the last delivery in the window, decomposed into per-hop /
     /// per-resource buckets that sum exactly to `we - ws`. Returns `None`
     /// when the window contains no delivery.
-    pub fn critical_path(
-        &self,
-        events: &[ProbeEvent],
-        window: (SimTime, SimTime),
-    ) -> Option<CriticalPath> {
+    pub fn critical_path(&self, window: (SimTime, SimTime)) -> Option<CriticalPath> {
         let (ws, we) = window;
         // The completion event: the last FLOW_DELIVERY inside the window.
-        let terminal = events
-            .iter()
-            .filter(|e| {
-                e.id.name == FLOW_DELIVERY.name
-                    && e.flow.is_some()
-                    && e.time >= ws
-                    && e.time <= we
-            })
-            .max_by_key(|e| (e.time, e.seq))?
-            .flow;
-        let chain = self.lineage(terminal);
-        let step_of = |f: FlowId| chain.iter().position(|&c| c == f);
-
-        // Collect the chain's spans: Begin/End pairs per (node, track) —
-        // an End record inherits the flow of the Begin that opened it —
-        // plus Complete records.
-        let mut spans: Vec<(u64, u64, usize, Track)> = Vec::new();
-        let mut open: BTreeMap<(u32, u32), (u64, FlowId)> = BTreeMap::new();
-        for e in events {
-            let key = (e.node, e.id.track.tid());
-            match e.phase {
-                Phase::Begin => {
-                    open.insert(key, (e.time.as_nanos(), e.flow));
-                }
-                Phase::End => {
-                    if let Some((s, f)) = open.remove(&key) {
-                        if let Some(i) = step_of(f) {
-                            spans.push((s, e.time.as_nanos(), i, e.id.track));
-                        }
-                    }
-                }
-                Phase::Complete => {
-                    if let Some(i) = step_of(e.flow) {
-                        let s = e.time.as_nanos();
-                        spans.push((s, s + e.dur.as_nanos(), i, e.id.track));
-                    }
-                }
-                Phase::Mark => {}
-            }
+        let upto = self.deliveries.partition_point(|&(t, _, _)| t <= we);
+        let &(t, _, terminal) = self.deliveries[..upto].last()?;
+        if t < ws {
+            return None;
         }
+        let chain = self.lineage(terminal);
+
+        // The chain's spans as (start, end, hop, track). The sweep breaks
+        // ties on (start, hop) by the later-closed span; a tie means one
+        // hop, hence one flow, whose spans are already in stream order.
+        let spans: Vec<(u64, u64, usize, Track)> = chain
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| self.flows.get(f).map(|info| (i, info)))
+            .flat_map(|(i, info)| info.spans.iter().map(move |s| (s.start, s.end, i, s.track)))
+            .collect();
 
         // Boundary sweep over [ws, we]: assign each segment to the
         // innermost (latest-starting; tie → latest hop) covering span.
@@ -427,7 +477,7 @@ mod tests {
         let ev = two_hop_stream();
         let g = FlowGraph::build(&ev);
         let cp = g
-            .critical_path(&ev, (at(0), at(1_050)))
+            .critical_path((at(0), at(1_050)))
             .expect("window contains a delivery");
         assert_eq!(cp.signature(), "n0>n1>n2");
         assert_eq!(cp.bucket_sum(), cp.total);
@@ -456,6 +506,6 @@ mod tests {
     fn empty_window_has_no_path() {
         let ev = two_hop_stream();
         let g = FlowGraph::build(&ev);
-        assert!(g.critical_path(&ev, (at(2_000), at(3_000))).is_none());
+        assert!(g.critical_path((at(2_000), at(3_000))).is_none());
     }
 }

@@ -58,7 +58,7 @@ impl Track {
     }
 
     /// Stable small integer (Perfetto `tid`).
-    pub fn tid(self) -> u32 {
+    pub const fn tid(self) -> u32 {
         match self {
             Track::Host => 0,
             Track::Lanai => 1,

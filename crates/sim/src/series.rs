@@ -22,6 +22,8 @@
 //! [`GaugeSummary`] rows: min/max/last, a time-weighted mean, and a
 //! fixed-width histogram of time spent at each value band.
 
+use std::collections::BTreeMap;
+
 use crate::time::SimTime;
 
 /// What a run samples.
@@ -283,20 +285,14 @@ impl SeriesSink {
     /// sorted by `(gauge, node)`. Each function is evaluated from its first
     /// transition to `end`.
     pub fn summarize(&self, end: SimTime) -> Vec<GaugeSummary> {
-        // Group points per (gauge, node), preserving time order.
-        let mut keys: Vec<(&'static str, u32)> = Vec::new();
+        // One pass groups the points per (gauge, node), preserving stream
+        // order; the BTreeMap iterates the groups in (gauge, node) order.
+        let mut groups: BTreeMap<(&'static str, u32), Vec<&SeriesPoint>> = BTreeMap::new();
         for p in self.iter() {
-            if !keys.contains(&(p.gauge, p.node)) {
-                keys.push((p.gauge, p.node));
-            }
+            groups.entry((p.gauge, p.node)).or_default().push(p);
         }
-        keys.sort();
-        let mut out = Vec::with_capacity(keys.len());
-        for (gauge, node) in keys {
-            let pts: Vec<&SeriesPoint> = self
-                .iter()
-                .filter(|p| p.gauge == gauge && p.node == node)
-                .collect();
+        let mut out = Vec::with_capacity(groups.len());
+        for ((gauge, node), pts) in groups {
             let min = pts.iter().map(|p| p.value).min().unwrap_or(0);
             let max = pts.iter().map(|p| p.value).max().unwrap_or(0);
             let last = pts.last().map_or(0, |p| p.value);

@@ -620,30 +620,41 @@ impl WatchEngine {
 /// Link causal evidence into incidents: for each incident window, the
 /// distinct [`FlowId`]s with probe activity inside it (on the incident's
 /// node, or anywhere for cluster-wide incidents) and the window's
-/// critical-path hop signature. `events` must be the canonically-merged
-/// probe stream; passing an empty stream leaves evidence empty.
+/// critical-path hop signature. Passing an empty stream leaves evidence
+/// empty.
+///
+/// `events` must be in `(time, seq)` order, as
+/// [`crate::probe::ProbeSink::merge_canonical`] leaves it: each window's
+/// records are found by binary search, so the function panics on an
+/// unsorted stream rather than return wrong evidence. The cost is one
+/// [`FlowGraph::build`] plus, per incident, a binary search and a scan of
+/// the window's slice.
 pub fn attach_evidence(incidents: &mut [Incident], events: &[ProbeEvent]) {
     if incidents.is_empty() || events.is_empty() {
         return;
     }
+    assert!(
+        events
+            .windows(2)
+            .all(|w| (w[0].time, w[0].seq) <= (w[1].time, w[1].seq)),
+        "attach_evidence needs the probe stream in (time, seq) order; \
+         merge it with ProbeSink::merge_canonical first"
+    );
     let graph = FlowGraph::build(events);
     for inc in incidents.iter_mut() {
         let (ws, we) = inc.window;
-        let mut flows: Vec<FlowId> = events
+        let lo = events.partition_point(|e| e.time < ws);
+        let hi = events.partition_point(|e| e.time < we).max(lo);
+        let mut flows: Vec<FlowId> = events[lo..hi]
             .iter()
-            .filter(|e| {
-                e.time >= ws
-                    && e.time < we
-                    && e.flow.is_some()
-                    && (inc.node == CLUSTER_NODE || e.node == inc.node)
-            })
+            .filter(|e| e.flow.is_some() && (inc.node == CLUSTER_NODE || e.node == inc.node))
             .map(|e| e.flow)
             .collect();
         flows.sort_unstable();
         flows.dedup();
         flows.truncate(MAX_EVIDENCE_FLOWS);
         inc.flows = flows;
-        if let Some(cp) = graph.critical_path(events, (ws, we)) {
+        if let Some(cp) = graph.critical_path((ws, we)) {
             inc.signature = cp.signature();
         }
     }
@@ -806,6 +817,24 @@ mod tests {
         )];
         assert!(incs[0].is_exec());
         assert_eq!(summary_json(&incs), "[]");
+    }
+
+    #[test]
+    #[should_panic(expected = "ProbeSink::merge_canonical")]
+    fn evidence_rejects_an_unsorted_stream() {
+        use crate::probe::{ProbeConfig, ProbeId, ProbeSink, Track};
+        let p = ProbeId::new("watch_unsorted", Track::Wire);
+        let mut s = ProbeSink::new(ProbeConfig::spans());
+        s.instant(SimTime::from_nanos(50), 0, p, "late", 0);
+        s.instant(SimTime::from_nanos(10), 0, p, "early", 0);
+        let mut incs = vec![Incident::cluster(
+            "t",
+            Severity::Info,
+            (SimTime::ZERO, SimTime::from_nanos(100)),
+            1,
+            Thresh::count(1),
+        )];
+        attach_evidence(&mut incs, &s.to_vec());
     }
 
     #[test]
