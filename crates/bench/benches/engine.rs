@@ -1,9 +1,9 @@
 //! Criterion microbenches of the simulation substrate: raw event-dispatch
-//! throughput, queue implementations head-to-head, route lookup cost, and
-//! fabric injection cost.
+//! throughput, event-queue churn, route lookup cost, and fabric injection
+//! cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gm_sim::{Engine, EventQueue, QueueKind, Scheduler, SimDuration, SimTime, World};
+use gm_sim::{Engine, EventQueue, Scheduler, SimDuration, SimTime, World};
 use myrinet::{Fabric, NodeId, Packet, PacketKind, PortId, Topology};
 
 /// A ping world: one event chain of fixed length.
@@ -39,7 +39,7 @@ fn bench_engine(c: &mut Criterion) {
 
 /// A fan world: many interleaved timers. `scale_ns` stretches the timer
 /// distribution: 1 gives sub-bucket nanosecond chains (worst case for the
-/// wheel queue — everything lands in its active heap), while fabric-scale
+/// wheel queue — everything lands in its active tier), while fabric-scale
 /// values spread timers the way packet serialization (36 ns–65 µs at
 /// 250 MB/s), hop delay (300 ns) and host overheads (µs) do in real runs.
 struct Fan {
@@ -57,29 +57,25 @@ impl World for Fan {
     }
 }
 
-fn bench_heap_pressure(c: &mut Criterion) {
-    // Same interleaved-timer world on both queue implementations, in one
-    // process so the comparison is unaffected by machine drift between runs.
-    // The fabric-scale pair (timers spread over ~0.9–250 µs, the simulator's
+fn bench_dispatch_fan(c: &mut Criterion) {
+    // The fabric-scale run (timers spread over ~0.9–250 µs, the simulator's
     // real event horizon) is the dispatch-rate number perf_baseline.json
-    // tracks; the ns pair documents the wheel's worst case (sub-bucket
-    // chains where it degenerates to a heap plus bookkeeping).
+    // tracks; the ns run documents the wheel's worst case (sub-bucket
+    // chains where it degenerates to a sorted deque plus bookkeeping).
+    // Names keep the `_wheel` suffix so they continue the recorded series.
     let mut g = c.benchmark_group("engine");
     g.throughput(Throughput::Elements(100_064));
-    for (kind, qlabel) in [(QueueKind::Wheel, "wheel"), (QueueKind::Heap, "heap")] {
-        for (scale_ns, slabel) in [(13_000u64, "fabric_scale"), (1, "ns_scale")] {
-            g.bench_function(format!("dispatch_64_streams_{slabel}_{qlabel}"), |b| {
-                b.iter(|| {
-                    let mut eng =
-                        Engine::with_queue_kind(Fan { remaining: 100_000, scale_ns }, kind);
-                    for i in 0..64 {
-                        eng.schedule(SimTime::from_nanos(i), i);
-                    }
-                    eng.run_to_idle();
-                    assert_eq!(eng.events_handled(), 100_064);
-                });
+    for (scale_ns, slabel) in [(13_000u64, "fabric_scale"), (1, "ns_scale")] {
+        g.bench_function(format!("dispatch_64_streams_{slabel}_wheel"), |b| {
+            b.iter(|| {
+                let mut eng = Engine::new(Fan { remaining: 100_000, scale_ns });
+                for i in 0..64 {
+                    eng.schedule(SimTime::from_nanos(i), i);
+                }
+                eng.run_to_idle();
+                assert_eq!(eng.events_handled(), 100_064);
             });
-        }
+        });
     }
     g.finish();
 }
@@ -87,9 +83,9 @@ fn bench_heap_pressure(c: &mut Criterion) {
 /// Steady-state queue churn: `pending` events in flight; each step pops the
 /// earliest and schedules a replacement a pseudo-random short delay later.
 /// This is the event-queue access pattern of a busy simulation, isolated
-/// from world dispatch cost — the headline wheel-vs-heap comparison.
-fn queue_churn(kind: QueueKind, pending: u64, steps: u64) -> u64 {
-    let mut q = EventQueue::with_kind(kind);
+/// from world dispatch cost.
+fn queue_churn(pending: u64, steps: u64) -> u64 {
+    let mut q = EventQueue::new();
     let mut state = 0x9E3779B97F4A7C15u64;
     let mut rnd = move || {
         state ^= state << 13;
@@ -116,20 +112,18 @@ fn queue_churn(kind: QueueKind, pending: u64, steps: u64) -> u64 {
     acc
 }
 
-fn bench_queue_kinds(c: &mut Criterion) {
+fn bench_queue_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("queue");
     for &pending in &[64u64, 1_024, 16_384] {
         let steps = 100_000u64;
         g.throughput(Throughput::Elements(steps));
-        for (kind, label) in [(QueueKind::Wheel, "wheel"), (QueueKind::Heap, "heap")] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("churn_{label}"), pending),
-                &pending,
-                |b, &pending| {
-                    b.iter(|| queue_churn(kind, pending, steps));
-                },
-            );
-        }
+        g.bench_with_input(
+            BenchmarkId::new("churn_wheel", pending),
+            &pending,
+            |b, &pending| {
+                b.iter(|| queue_churn(pending, steps));
+            },
+        );
     }
     g.finish();
 }
@@ -220,8 +214,8 @@ fn bench_fabric(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine,
-    bench_heap_pressure,
-    bench_queue_kinds,
+    bench_dispatch_fan,
+    bench_queue_churn,
     bench_route_lookup,
     bench_fabric
 );

@@ -1,70 +1,11 @@
 //! Criterion microbenches of the engine-internals fast paths added for the
-//! events/sec push: same-timestamp batched dispatch, the slab + SoA
-//! id-queue discipline the NIC work queues use, and the weighted
-//! topology-partition DP that balances shard event load.
+//! events/sec push: the slab + SoA id-queue discipline the NIC work queues
+//! use, and the weighted topology-partition DP that balances shard event
+//! load.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gm_sim::{batch, Engine, Scheduler, SimDuration, SimTime, Slab, World};
+use gm_sim::{Engine, Scheduler, SimDuration, SimTime, Slab, World};
 use myrinet::Topology;
-
-/// A bursty world: every round, one `Tick` schedules `fan` no-op events and
-/// the next `Tick` at the *same* future instant, so each instant holds
-/// `fan + 1` same-timestamp events — the exact shape batch staging
-/// coalesces into one queue transaction.
-struct Burst {
-    rounds: u64,
-    fan: u64,
-}
-
-#[derive(Clone, Copy)]
-enum BurstEv {
-    Tick(u64),
-    Noop,
-}
-
-impl World for Burst {
-    type Event = BurstEv;
-    fn handle(&mut self, ev: BurstEv, sched: &mut Scheduler<BurstEv>) {
-        if let BurstEv::Tick(round) = ev {
-            if round < self.rounds {
-                let delay = SimDuration::from_nanos(1_000);
-                for _ in 0..self.fan {
-                    sched.after(delay, BurstEv::Noop);
-                }
-                sched.after(delay, BurstEv::Tick(round + 1));
-            }
-        }
-    }
-}
-
-/// Batched vs unbatched dispatch of an identical same-timestamp burst
-/// schedule, in one process so the comparison is unaffected by machine
-/// drift. The streams are bit-identical (pinned by `engine_parity.rs`);
-/// only wall clock may differ.
-fn bench_batch_dispatch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("batch_dispatch");
-    let rounds = 2_000u64;
-    // fan 0 is the sparse case: every instant holds exactly one event, so
-    // batching degenerates to singleton pops and must cost ~nothing.
-    for &fan in &[0u64, 4, 16] {
-        let total = rounds * (fan + 1) + 1;
-        g.throughput(Throughput::Elements(total));
-        for on in [true, false] {
-            let label = if on { "batched" } else { "unbatched" };
-            g.bench_function(format!("burst_fan{fan}_{label}"), |b| {
-                b.iter(|| {
-                    batch::set_override(Some(on));
-                    let mut eng = Engine::new(Burst { rounds, fan });
-                    eng.schedule(SimTime::ZERO, BurstEv::Tick(0));
-                    eng.run_to_idle();
-                    batch::set_override(None);
-                    assert_eq!(eng.events_handled(), total);
-                });
-            });
-        }
-    }
-    g.finish();
-}
 
 /// A NIC-work-queue-sized payload: what `gm::nic` used to move through its
 /// `VecDeque`s before the slab/SoA split parked it behind a `u32` id.
@@ -188,7 +129,6 @@ fn bench_partition_balance(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_batch_dispatch,
     bench_nic_soa_queues,
     bench_partition_balance
 );

@@ -183,11 +183,6 @@ fn check_schema(doc: &str) -> Result<usize, String> {
 
 fn main() {
     let o = parse();
-    // Staging is off by default (a measured net loss on real traffic, see
-    // gm_sim::queue docs); the explorer turns it on so the batch telemetry
-    // below — and the CI health check on it — exercise the staging path.
-    // Results are bit-identical either way (pinned by engine_parity.rs).
-    gm_sim::batch::set_override(Some(true));
     let scenario = match o.mode {
         McastMode::NicBased => Scenario::nic_based(o.nodes),
         McastMode::HostBased => Scenario::host_based(o.nodes),
@@ -311,33 +306,6 @@ fn main() {
                  attribution and lineage are incomplete (raise the ring capacity)"
             );
             std::process::exit(1);
-        }
-        // Batching health: same-(time, class) dispatch should coalesce a
-        // visible fraction of pops. A mean stuck at 1 means the staged
-        // batching is doing pure bookkeeping — a warning, not a failure,
-        // since sparse traffic legitimately batches poorly.
-        let batch = gm_sim::dispatch_stats::batch_snapshot();
-        if batch.batches > 0 {
-            let mean = batch.mean_batch_size();
-            println!(
-                "batching: {} batches, {} events coalesced, mean batch size {mean:.2}",
-                batch.batches, batch.coalesced
-            );
-            let top = batch.hist.iter().copied().max().unwrap_or(0).max(1);
-            for (label, &n) in gm_sim::dispatch_stats::BatchStats::HIST_LABELS
-                .iter()
-                .zip(batch.hist.iter())
-                .filter(|(_, &n)| n > 0)
-            {
-                let bar = "#".repeat(((n * 40).div_ceil(top)) as usize);
-                println!("  {label:>8} {n:>8}  {bar}");
-            }
-            if mean < 1.05 {
-                eprintln!(
-                    "warning: same-timestamp batching degenerated to singletons \
-                     (mean {mean:.2}) — check MYRI_SIM_BATCH and event timestamp alignment"
-                );
-            }
         }
     }
 }

@@ -361,10 +361,6 @@ pub mod perf {
             binary
         };
         let (events, dispatch_wall) = gm_sim::dispatch_stats::snapshot();
-        let queue = match gm_sim::default_queue_kind() {
-            gm_sim::QueueKind::Wheel => "wheel",
-            gm_sim::QueueKind::Heap => "heap",
-        };
         let mut entry = serde_json::Value::Map(vec![]);
         entry.insert("events", serde_json::Value::UInt(events));
         entry.insert(
@@ -379,17 +375,13 @@ pub mod perf {
             "process_wall_secs",
             serde_json::Value::Float(process_wall.as_secs_f64()),
         );
-        entry.insert("queue", serde_json::Value::Str(queue.to_string()));
         // Record the execution environment so baseline comparisons are
         // honest: a 4-shard run on a single-core host shows window-protocol
         // overhead, not parallel speedup.
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         entry.insert("cores", serde_json::Value::UInt(cores as u64));
-        let shards = std::env::var("MYRI_SIM_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(1u64);
-        entry.insert("shards", serde_json::Value::UInt(shards));
+        let shards = nic_mcast::env_shards();
+        entry.insert("shards", serde_json::Value::UInt(u64::from(shards)));
         // Allocation churn (only under `--features alloc-count`, so the
         // fields' presence records how the number was measured). Process-
         // wide, so it overcounts per-event churn by setup/teardown — a
@@ -430,7 +422,7 @@ pub mod perf {
                     eprintln!("warning: cannot write {}: {e}", path.display());
                 } else {
                     eprintln!(
-                        "(perf: {events} events at {:.0} ev/s on {queue} queue -> {})",
+                        "(perf: {events} events at {:.0} ev/s -> {})",
                         gm_sim::dispatch_stats::events_per_sec(),
                         path.display()
                     );

@@ -61,7 +61,7 @@ pub use scenario::{BuiltScenario, Report, Scenario, ScenarioError};
 pub use sweep::Sweep;
 pub use tree::{coverage, min_makespan, PostalParams, SpanningTree, TreeShape};
 pub use workload::{
-    ArrivalProcess, BuiltWorkload, FanoutDist, GroupGoodput, SingleCollective, StopCondition,
+    ArrivalProcess, BuiltWorkload, FanoutDist, GroupGoodput, StopCondition,
     Workload, WorkloadError, WorkloadGroup, WorkloadReport, MAX_GROUPS,
 };
 pub use workloads::{

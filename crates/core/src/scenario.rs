@@ -329,14 +329,13 @@ impl Scenario {
 
     /// Build and execute, returning the [`Report`].
     ///
-    /// Internally this routes through the workload layer —
-    /// `Workload::single(self).run()` — so the closed-loop single-collective
-    /// path and the sustained-traffic path share one entry point.
-    ///
     /// Panics with the validation message on invalid input; use
     /// [`build`](Scenario::build) to handle errors.
     pub fn run(self) -> Report {
-        crate::workload::Workload::single(self).run()
+        match self.build() {
+            Ok(built) => built.run(),
+            Err(e) => panic!("invalid scenario: {e}"),
+        }
     }
 }
 

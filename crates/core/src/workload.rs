@@ -55,7 +55,6 @@ use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Topology};
 use crate::calibrate::shape_for_size;
 use crate::ext::McastExt;
 use crate::group::{McastConfig, McastNotice, McastRequest};
-use crate::scenario::{Report, Scenario};
 use crate::tree::{SpanningTree, TreeShape};
 use crate::workloads::{
     drive_to_quiescence, env_shards, evaluate_watch, finish_incidents, harvest_observability,
@@ -218,8 +217,7 @@ impl std::error::Error for WorkloadError {}
 /// Construct with [`new`](Workload::new), refine with the chained setters,
 /// then [`build`](Workload::build) (fallible) or [`run`](Workload::run)
 /// (builds and executes, panicking on invalid input with the validation
-/// message). [`Workload::single`] wraps a [`Scenario`] so the closed-loop
-/// path runs through the same entry point.
+/// message).
 #[derive(Clone, Debug)]
 pub struct Workload {
     n_nodes: u32,
@@ -267,13 +265,6 @@ impl Workload {
             series: SeriesConfig::off(),
             watch: WatchConfig::off(),
         }
-    }
-
-    /// Run a [`Scenario`] through the workload entry point. This is what
-    /// [`Scenario::run`] calls internally: the closed-loop single-collective
-    /// path and the sustained-traffic path share the same run plumbing.
-    pub fn single(scenario: Scenario) -> SingleCollective {
-        SingleCollective { scenario }
     }
 
     /// Number of multicast groups in the population.
@@ -637,22 +628,6 @@ pub struct WorkloadGroup {
 pub struct BuiltWorkload {
     spec: Workload,
     groups: Vec<WorkloadGroup>,
-}
-
-/// The closed-loop single-collective path, run through the workload entry
-/// point (see [`Workload::single`]).
-pub struct SingleCollective {
-    scenario: Scenario,
-}
-
-impl SingleCollective {
-    /// Build and execute the wrapped scenario, returning its [`Report`].
-    pub fn run(self) -> Report {
-        match self.scenario.build() {
-            Ok(built) => built.run(),
-            Err(e) => panic!("invalid scenario: {e}"),
-        }
-    }
 }
 
 // -- runtime ------------------------------------------------------------------

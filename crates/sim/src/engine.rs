@@ -18,41 +18,11 @@ pub mod dispatch_stats {
     static EVENTS: AtomicU64 = AtomicU64::new(0);
     static WALL_NANOS: AtomicU64 = AtomicU64::new(0);
 
-    /// Batches staged by the wheel's same-timestamp drain (size ≥ 1 each).
-    static BATCHES: AtomicU64 = AtomicU64::new(0);
-    /// Events coalesced *beyond* the first of each batch (`Σ (size − 1)`).
-    static COALESCED: AtomicU64 = AtomicU64::new(0);
-    /// Batch-size histogram; see [`BatchStats::HIST_LABELS`] for buckets.
-    static BATCH_HIST: [AtomicU64; 8] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
-
     pub(crate) fn add(events: u64, wall: std::time::Duration) {
         if events > 0 {
             EVENTS.fetch_add(events, Ordering::Relaxed);
             // simlint::allow(units, "std::time::Duration wall-clock stat, not SimTime")
             WALL_NANOS.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Fold one queue's locally accumulated batch counters into the
-    /// process totals. Called when an `EventQueue` drops: per-batch atomic
-    /// updates would cost three RMWs per pop on singleton-heavy traffic,
-    /// which is exactly the traffic the fast path exists for.
-    pub(crate) fn flush_batches(batches: u64, coalesced: u64, hist: &[u64; 8]) {
-        BATCHES.fetch_add(batches, Ordering::Relaxed);
-        COALESCED.fetch_add(coalesced, Ordering::Relaxed);
-        for (dst, &src) in BATCH_HIST.iter().zip(hist.iter()) {
-            if src > 0 {
-                dst.fetch_add(src, Ordering::Relaxed);
-            }
         }
     }
 
@@ -75,45 +45,6 @@ pub mod dispatch_stats {
             0.0
         }
     }
-
-    /// Same-timestamp batching totals since process start.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct BatchStats {
-        /// Batches staged (each covers ≥ 1 events).
-        pub batches: u64,
-        /// Events coalesced beyond the first of each batch.
-        pub coalesced: u64,
-        /// Batch-size histogram over [`BatchStats::HIST_LABELS`] buckets.
-        pub hist: [u64; 8],
-    }
-
-    impl BatchStats {
-        /// Human-readable bucket bounds for [`BatchStats::hist`].
-        pub const HIST_LABELS: [&'static str; 8] =
-            ["1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65+"];
-
-        /// Mean events per staged batch (1.0 means batching degenerated to
-        /// singleton pops; 0.0 before any batch was staged).
-        pub fn mean_batch_size(&self) -> f64 {
-            if self.batches == 0 {
-                return 0.0;
-            }
-            (self.batches + self.coalesced) as f64 / self.batches as f64
-        }
-    }
-
-    /// Snapshot the process-wide batching counters.
-    pub fn batch_snapshot() -> BatchStats {
-        let mut hist = [0u64; 8];
-        for (dst, src) in hist.iter_mut().zip(BATCH_HIST.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        BatchStats {
-            batches: BATCHES.load(Ordering::Relaxed),
-            coalesced: COALESCED.load(Ordering::Relaxed),
-            hist,
-        }
-    }
 }
 
 /// Handle through which event handlers schedule future events.
@@ -127,13 +58,6 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-        }
-    }
-
-    fn with_queue_kind(kind: crate::queue::QueueKind) -> Self {
-        Scheduler {
-            now: SimTime::ZERO,
-            queue: EventQueue::with_kind(kind),
         }
     }
 
@@ -232,17 +156,6 @@ impl<W: World> Engine<W> {
         Engine {
             world,
             sched: Scheduler::new(),
-            events_handled: 0,
-            run_wall: std::time::Duration::ZERO,
-        }
-    }
-
-    /// Like [`Engine::new`] but with an explicit queue implementation,
-    /// overriding the process default (used by differential benchmarks).
-    pub fn with_queue_kind(world: W, kind: crate::queue::QueueKind) -> Self {
-        Engine {
-            world,
-            sched: Scheduler::with_queue_kind(kind),
             events_handled: 0,
             run_wall: std::time::Duration::ZERO,
         }

@@ -55,7 +55,7 @@ pub use flow::FlowId;
 pub use parallel::{Outbox, ShardStats, ShardWorld, ShardedEngine};
 pub use probe::{Metrics, ProbeConfig, ProbeEvent, ProbeSink};
 pub use series::{GaugeSummary, SeriesConfig, SeriesPoint, SeriesSink, HIST_BINS};
-pub use queue::{batch, default_kind as default_queue_kind, EventClass, EventQueue, QueueKind};
+pub use queue::{EventClass, EventQueue};
 pub use rng::{splitmix64, DetRng};
 pub use slab::Slab;
 pub use stats::{BusyTracker, Counters, Histogram, LogHistogram, OnlineStats};

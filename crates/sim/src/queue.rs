@@ -4,46 +4,25 @@
 //! scheduled (FIFO), which keeps simulations deterministic without requiring
 //! the event payload type to be `Ord`.
 //!
-//! Two interchangeable implementations sit behind [`EventQueue`]:
+//! [`EventQueue`] is a hierarchical timing wheel tuned for the simulator's
+//! short-horizon traffic. A small sorted *active* vector holds only the
+//! imminent events; the near future is an array of 1 µs buckets with an
+//! occupancy bitmap; the far future overflows into a heap. Most pushes are
+//! an O(1) bucket append instead of an O(log n) sift, pops are O(1)
+//! front-pops, and sorting happens once per bucket drain.
 //!
-//! * **Wheel** (default): a hierarchical queue tuned for the simulator's
-//!   short-horizon traffic. A small sorted *active* vector holds only the
-//!   imminent events; the near future is an array of 1 µs buckets with an
-//!   occupancy bitmap; the far future overflows into a heap. Most pushes
-//!   are an O(1) bucket append instead of an O(log n) sift, pops are O(1)
-//!   front-pops, and sorting happens once per bucket drain.
-//! * **Heap**: the classic single binary heap, kept as the reference
-//!   implementation for differential tests.
+//! Event payloads live in a [`Slab`]; the ordering structures (active deque,
+//! buckets, far heap) move 24-byte [`Entry`] index records, not the fat event
+//! enums themselves. A payload is touched exactly twice — once in, once out —
+//! regardless of how many bucket drains or sorts its entry rides through
+//! (DESIGN.md §15).
 //!
-//! Two layout decisions keep the hot path cache-resident (DESIGN.md §15):
-//!
-//! * **Payload arena.** Event payloads live in a [`Slab`]; the ordering
-//!   structures (active deque, buckets, far heap) move 24-byte
-//!   [`Entry`] index records, not the fat event enums themselves. A payload
-//!   is touched exactly twice — once in, once out — regardless of how many
-//!   bucket drains or sorts its entry rides through.
-//! * **Batched same-timestamp dispatch** (opt-in). The wheel can drain the
-//!   entire run of equal-`(time, class)` entries at the front of its active
-//!   tier into a *staged* deque in one step; subsequent pops are plain
-//!   deque front-pops with no wheel bookkeeping. Events pushed *during* a
-//!   staged batch go through the wheel as usual and a two-way merge on pop
-//!   keeps the global `(time, class, seq)` order — batching is invisible
-//!   to pop order, which is what the differential suites verify. Staging
-//!   is **off by default**: measured on the paper's traffic (mean run
-//!   length ≈ 1.7), the staged deque's extra entry traffic costs ~8% more
-//!   than the wheel bookkeeping it saves (DESIGN.md §15). `MYRI_SIM_BATCH=1`
-//!   enables it for experiments and differential runs.
-//!
-//! Both implementations produce the exact same (time, class, insertion-seq)
-//! pop order, so simulated results are bit-for-bit identical;
-//! `MYRI_SIM_QUEUE=heap` switches the default for parity runs. See
-//! DESIGN.md §6 and §15.
+//! The unit tests check the wheel's `(time, class, insertion-seq)` pop order
+//! against a plain binary-heap oracle (DESIGN.md §6).
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::OnceLock;
 
-use crate::engine::dispatch_stats;
 use crate::slab::Slab;
 use crate::time::SimTime;
 
@@ -110,73 +89,6 @@ const BUCKET_SHIFT: u64 = 10;
 const BUCKETS: usize = 2048;
 const BUCKET_WIDTH: u64 = 1 << BUCKET_SHIFT;
 const WINDOW: u64 = (BUCKETS as u64) * BUCKET_WIDTH;
-
-/// Which queue implementation a new [`EventQueue`] uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum QueueKind {
-    /// Hierarchical bucketed wheel (default).
-    Wheel,
-    /// Single binary heap (reference).
-    Heap,
-}
-
-/// The implementation `EventQueue::new` selects for this process: the wheel,
-/// unless the `MYRI_SIM_QUEUE=heap` environment variable picks the reference
-/// heap (used for bit-for-bit parity runs).
-pub fn default_kind() -> QueueKind {
-    static KIND: OnceLock<QueueKind> = OnceLock::new();
-    *KIND.get_or_init(|| match std::env::var("MYRI_SIM_QUEUE").as_deref() {
-        Ok("heap") => QueueKind::Heap,
-        _ => QueueKind::Wheel,
-    })
-}
-
-/// Process-wide switch for same-timestamp batch staging.
-///
-/// The default comes from `MYRI_SIM_BATCH` (`1`/`on` enables; anything
-/// else, including unset, disables — staging is a measured net loss on the
-/// simulator's real traffic mix, see the module docs). Differential tests
-/// flip both modes in one process via [`set_override`](batch::set_override);
-/// the choice is sampled once per [`EventQueue`] at construction, so an
-/// existing queue never changes behavior mid-run.
-pub mod batch {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    use std::sync::OnceLock;
-
-    /// 0 = follow the environment, 1 = force off, 2 = force on.
-    static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-    fn env_default() -> bool {
-        static ON: OnceLock<bool> = OnceLock::new();
-        *ON.get_or_init(|| {
-            matches!(
-                std::env::var("MYRI_SIM_BATCH").as_deref(),
-                Ok("1") | Ok("on")
-            )
-        })
-    }
-
-    /// Force batching on/off for queues constructed after this call
-    /// (`None` restores the environment default). Test-only knob; runs are
-    /// bit-for-bit identical either way.
-    pub fn set_override(on: Option<bool>) {
-        let v = match on {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        };
-        OVERRIDE.store(v, Ordering::Relaxed);
-    }
-
-    /// Whether a queue constructed right now stages batches.
-    pub fn enabled() -> bool {
-        match OVERRIDE.load(Ordering::Relaxed) {
-            1 => false,
-            2 => true,
-            _ => env_default(),
-        }
-    }
-}
 
 /// Near-future timing wheel with a sorted-deque active tier and far-future
 /// overflow.
@@ -270,8 +182,7 @@ impl Wheel {
     }
 
     /// Restore "`active` non-empty" when events are pending elsewhere.
-    /// `pending` is the count of events held by the wheel itself (staged
-    /// entries excluded — they already left the wheel).
+    /// `pending` is the count of events the wheel holds.
     fn ensure_active(&mut self, pending: usize) {
         if self.active.is_empty() && pending > 0 {
             self.refill();
@@ -363,71 +274,15 @@ impl Wheel {
     }
 }
 
-enum Inner {
-    Wheel(Box<Wheel>),
-    Heap(BinaryHeap<Entry>),
-}
-
 /// A time-ordered, insertion-stable event queue.
 ///
-/// Payloads live in an internal [`Slab`]; the ordering tiers move only
-/// 24-byte [`Entry`] records. On the wheel, pops drain whole
-/// same-`(time, class)` runs into a staged deque (see the module docs) — the
-/// pop order is identical with staging on or off.
+/// Payloads live in an internal [`Slab`]; the wheel's tiers move only
+/// 24-byte [`Entry`] records.
 pub struct EventQueue<E> {
-    inner: Inner,
+    wheel: Wheel,
     arena: Slab<E>,
-    /// The staged batch: the continuation of a front run of
-    /// equal-`(time, class)` entries already removed from the wheel.
-    /// Invariant: while non-empty, every wheel entry at or before the
-    /// staged instant sits in the wheel's `active` tier (the active tier
-    /// owns the full front instant; see `Wheel::push`), so pop is a
-    /// two-way merge of `staged` and `active` fronts.
-    staged: VecDeque<Entry>,
-    /// Sampled from [`batch::enabled`] at construction; heap queues never
-    /// stage (they are the unbatched reference).
-    batching: bool,
-    /// Local batch counters, folded into `dispatch_stats` when the queue
-    /// drops (atomics per pop would dominate singleton-heavy traffic).
-    stats: BatchCounters,
     next_seq: u64,
     len: usize,
-}
-
-/// Per-queue batch-staging statistics; see [`EventQueue::stats`].
-#[derive(Default)]
-struct BatchCounters {
-    batches: u64,
-    coalesced: u64,
-    hist: [u64; 8],
-}
-
-impl BatchCounters {
-    /// Count one drained run of `size` same-`(time, class)` events.
-    #[inline]
-    fn note(&mut self, size: u64) {
-        debug_assert!(size >= 1);
-        self.batches += 1;
-        self.coalesced += size - 1;
-        let bucket = if size <= 1 {
-            0
-        } else {
-            (u64::BITS - (size - 1).leading_zeros()).min(7) as usize
-        };
-        self.hist[bucket] += 1;
-    }
-}
-
-impl<E> Drop for EventQueue<E> {
-    fn drop(&mut self) {
-        if self.stats.batches > 0 {
-            dispatch_stats::flush_batches(
-                self.stats.batches,
-                self.stats.coalesced,
-                &self.stats.hist,
-            );
-        }
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -437,44 +292,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue of the process-default kind (the hierarchical wheel,
-    /// unless `MYRI_SIM_QUEUE=heap` selects the reference heap).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_kind(default_kind())
-    }
-
-    /// An empty queue of an explicit kind (for differential tests/benches).
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let inner = match kind {
-            QueueKind::Wheel => Inner::Wheel(Box::new(Wheel::new())),
-            QueueKind::Heap => Inner::Heap(BinaryHeap::new()),
-        };
         EventQueue {
-            batching: matches!(kind, QueueKind::Wheel) && batch::enabled(),
-            inner,
+            wheel: Wheel::new(),
             arena: Slab::new(),
-            staged: VecDeque::new(),
-            stats: BatchCounters::default(),
             next_seq: 0,
             len: 0,
-        }
-    }
-
-    /// An empty hierarchical-wheel queue.
-    pub fn wheel() -> Self {
-        Self::with_kind(QueueKind::Wheel)
-    }
-
-    /// An empty reference binary-heap queue.
-    pub fn heap() -> Self {
-        Self::with_kind(QueueKind::Heap)
-    }
-
-    /// Which implementation this queue uses.
-    pub fn kind(&self) -> QueueKind {
-        match self.inner {
-            Inner::Wheel(_) => QueueKind::Wheel,
-            Inner::Heap(_) => QueueKind::Heap,
         }
     }
 
@@ -501,70 +325,14 @@ impl<E> EventQueue<E> {
             seq,
             idx: self.arena.insert(event),
         };
-        match &mut self.inner {
-            Inner::Wheel(w) => w.push(entry),
-            Inner::Heap(h) => h.push(entry),
-        }
+        self.wheel.push(entry);
         self.len += 1;
-    }
-
-    /// Count of events the wheel itself still holds (total minus staged).
-    #[inline]
-    fn wheel_pending(&self) -> usize {
-        self.len - self.staged.len()
-    }
-
-    /// Remove and return the earliest pending entry in global
-    /// `(time, class, seq)` order, staging batches as a side effect.
-    // simlint::hot
-    fn pop_entry(&mut self) -> Option<Entry> {
-        let wheel_pending = self.wheel_pending();
-        match &mut self.inner {
-            Inner::Heap(h) => h.pop(),
-            Inner::Wheel(w) => {
-                if let Some(s) = self.staged.front() {
-                    // An event pushed mid-batch can precede the rest of the
-                    // staged run (a wire-class push at the same instant, or
-                    // any push strictly inside (floor, staged time)); such
-                    // an entry is necessarily in `active`, so comparing the
-                    // two fronts restores the global order.
-                    match w.active.front() {
-                        Some(a) if a.key() < s.key() => {
-                            let e = w.active.pop_front().expect("front checked");
-                            w.floor = e.time.as_nanos();
-                            Some(e)
-                        }
-                        _ => self.staged.pop_front(),
-                    }
-                } else if self.batching {
-                    // Pop the run head directly; only a run that actually
-                    // continues pays the staging cost. Singleton pops — the
-                    // common case under sparse traffic — touch nothing but
-                    // the active deque. Run completeness holds because the
-                    // active tier owns every pending event at its front
-                    // instant (see `Wheel::push`), so one front comparison
-                    // decides whether a batch exists.
-                    let first = w.pop(wheel_pending)?;
-                    let continues = |e: &Entry| e.time == first.time && e.class == first.class;
-                    if w.active.front().is_some_and(&continues) {
-                        let n = w.active.iter().take_while(|e| continues(e)).count();
-                        self.staged.extend(w.active.drain(..n));
-                        self.stats.note(n as u64 + 1);
-                    } else {
-                        self.stats.note(1);
-                    }
-                    Some(first)
-                } else {
-                    w.pop(wheel_pending)
-                }
-            }
-        }
     }
 
     /// Remove and return the earliest event.
     // simlint::hot
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.pop_entry()?;
+        let entry = self.wheel.pop(self.len)?;
         self.len -= 1;
         Some((entry.time, self.arena.take(entry.idx)))
     }
@@ -572,21 +340,8 @@ impl<E> EventQueue<E> {
     /// The timestamp of the earliest pending event. Takes `&mut self`
     /// because the wheel refills its active tier lazily.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let wheel_pending = self.wheel_pending();
-        match &mut self.inner {
-            Inner::Wheel(w) => {
-                if let Some(s) = self.staged.front() {
-                    match w.active.front() {
-                        Some(a) if a.key() < s.key() => Some(a.time),
-                        _ => Some(s.time),
-                    }
-                } else {
-                    w.ensure_active(wheel_pending);
-                    w.active.front().map(|e| e.time)
-                }
-            }
-            Inner::Heap(h) => h.peek().map(|e| e.time),
-        }
+        self.wheel.ensure_active(self.len);
+        self.wheel.active.front().map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -601,11 +356,7 @@ impl<E> EventQueue<E> {
 
     /// Drop all pending events.
     pub fn clear(&mut self) {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.clear(),
-            Inner::Heap(h) => h.clear(),
-        }
-        self.staged.clear();
+        self.wheel.clear();
         self.arena.clear();
         self.len = 0;
     }
@@ -614,138 +365,205 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::HashMap;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
     }
 
-    fn both() -> [EventQueue<i64>; 2] {
-        [EventQueue::wheel(), EventQueue::heap()]
+    /// The reference implementation the wheel is checked against: one
+    /// binary heap over `(time, class, seq)` keys, payloads on the side.
+    struct HeapOracle<E> {
+        heap: BinaryHeap<Reverse<(SimTime, EventClass, u64)>>,
+        payloads: HashMap<u64, E>,
+        next_seq: u64,
     }
 
-    #[test]
-    fn pops_in_time_order() {
-        for mut q in [
-            EventQueue::wheel(),
-            EventQueue::heap(),
-        ] {
-            q.push(t(30), "c");
-            q.push(t(10), "a");
-            q.push(t(20), "b");
-            assert_eq!(q.pop(), Some((t(10), "a")));
-            assert_eq!(q.pop(), Some((t(20), "b")));
-            assert_eq!(q.pop(), Some((t(30), "c")));
-            assert_eq!(q.pop(), None);
-        }
-    }
-
-    #[test]
-    fn ties_are_fifo() {
-        for mut q in both() {
-            for i in 0..100 {
-                q.push(t(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((t(5), i)));
+    impl<E> HeapOracle<E> {
+        fn new() -> Self {
+            HeapOracle {
+                heap: BinaryHeap::new(),
+                payloads: HashMap::new(),
+                next_seq: 0,
             }
         }
     }
 
-    #[test]
-    fn interleaved_push_pop_keeps_order() {
-        for mut q in both() {
-            q.push(t(10), 1);
-            q.push(t(10), 2);
-            assert_eq!(q.pop().unwrap().1, 1);
-            q.push(t(10), 3);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.pop().unwrap().1, 3);
+    /// The queue surface the tests drive, implemented by the wheel and by
+    /// the oracle so one test body runs against both.
+    trait TestQueue<E> {
+        fn push(&mut self, time: SimTime, event: E);
+        fn push_wire(&mut self, time: SimTime, event: E);
+        fn pop(&mut self) -> Option<(SimTime, E)>;
+        fn peek_time(&mut self) -> Option<SimTime>;
+        fn len(&self) -> usize;
+        fn clear(&mut self);
+        fn is_empty(&self) -> bool {
+            self.len() == 0
         }
     }
 
-    #[test]
-    fn peek_and_len() {
-        for mut q in both() {
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.push(t(7), 0);
-            q.push(t(3), 0);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(t(3)));
-            q.clear();
-            assert!(q.is_empty());
-            // The queue is reusable after clear.
-            q.push(t(9), 1);
-            assert_eq!(q.pop(), Some((t(9), 1)));
+    impl<E> TestQueue<E> for EventQueue<E> {
+        fn push(&mut self, time: SimTime, event: E) {
+            EventQueue::push(self, time, event);
+        }
+        fn push_wire(&mut self, time: SimTime, event: E) {
+            EventQueue::push_wire(self, time, event);
+        }
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            EventQueue::pop(self)
+        }
+        fn peek_time(&mut self) -> Option<SimTime> {
+            EventQueue::peek_time(self)
+        }
+        fn len(&self) -> usize {
+            EventQueue::len(self)
+        }
+        fn clear(&mut self) {
+            EventQueue::clear(self);
         }
     }
 
-    #[test]
-    fn wire_class_pops_before_normal_at_same_instant() {
-        for mut q in both() {
-            q.push(t(500), 1);
-            q.push(t(500), 2);
-            // Pushed last, but the wire class drains first at its instant.
-            q.push_wire(t(500), 0);
-            q.push(t(400), -1);
-            assert_eq!(q.pop(), Some((t(400), -1)));
-            assert_eq!(q.pop(), Some((t(500), 0)));
-            assert_eq!(q.pop(), Some((t(500), 1)));
-            assert_eq!(q.pop(), Some((t(500), 2)));
+    impl<E> HeapOracle<E> {
+        fn push_class(&mut self, time: SimTime, class: EventClass, event: E) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Reverse((time, class, seq)));
+            self.payloads.insert(seq, event);
         }
     }
 
-    #[test]
-    fn wire_class_is_fifo_within_itself() {
-        for mut q in both() {
-            q.push_wire(t(9), 0);
-            q.push(t(9), 2);
-            q.push_wire(t(9), 1);
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![0, 1, 2]);
+    impl<E> TestQueue<E> for HeapOracle<E> {
+        fn push(&mut self, time: SimTime, event: E) {
+            self.push_class(time, EventClass::Normal, event);
+        }
+        fn push_wire(&mut self, time: SimTime, event: E) {
+            self.push_class(time, EventClass::Wire, event);
+        }
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            let Reverse((time, _, seq)) = self.heap.pop()?;
+            Some((time, self.payloads.remove(&seq).expect("payload")))
+        }
+        fn peek_time(&mut self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse((time, _, _))| *time)
+        }
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+        fn clear(&mut self) {
+            self.heap.clear();
+            self.payloads.clear();
         }
     }
 
-    #[test]
-    fn wire_push_mid_batch_preempts_staged_normals() {
-        // Pop one of three same-instant normals (staging the other two),
-        // then push a wire event at that instant: it must pop before the
-        // remaining staged entries even though they were staged first.
-        let mut q = EventQueue::wheel();
+    /// A `#[test]` that runs `$body` once against the wheel and once
+    /// against the heap oracle, as `q: impl TestQueue<i64>`.
+    macro_rules! on_both {
+        ($name:ident, |$q:ident| $body:block) => {
+            #[test]
+            fn $name() {
+                fn check(mut $q: impl TestQueue<i64>) $body
+                check(EventQueue::new());
+                check(HeapOracle::new());
+            }
+        };
+    }
+
+    /// Pop everything left, in order.
+    fn drain(q: &mut impl TestQueue<i64>) -> Vec<(SimTime, i64)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    on_both!(pops_in_time_order, |q| {
+        q.push(t(30), 3);
+        q.push(t(10), 1);
+        q.push(t(20), 2);
+        assert_eq!(drain(&mut q), vec![(t(10), 1), (t(20), 2), (t(30), 3)]);
+    });
+
+    on_both!(ties_are_fifo, |q| {
+        for i in 0..100 {
+            q.push(t(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((t(5), i)));
+        }
+    });
+
+    on_both!(interleaved_push_pop_keeps_order, |q| {
+        q.push(t(10), 1);
+        q.push(t(10), 2);
+        assert_eq!(q.pop().unwrap().1, 1);
+        q.push(t(10), 3);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.pop().unwrap().1, 3);
+    });
+
+    on_both!(peek_and_len, |q| {
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(t(7), 0);
+        q.push(t(3), 0);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(t(3)));
+        q.clear();
+        assert!(q.is_empty());
+        // The queue is reusable after clear.
+        q.push(t(9), 1);
+        assert_eq!(q.pop(), Some((t(9), 1)));
+    });
+
+    on_both!(wire_class_pops_before_normal_at_same_instant, |q| {
+        q.push(t(500), 1);
+        q.push(t(500), 2);
+        // Pushed last, but the wire class drains first at its instant.
+        q.push_wire(t(500), 0);
+        q.push(t(400), -1);
+        let order = drain(&mut q);
+        assert_eq!(order, vec![(t(400), -1), (t(500), 0), (t(500), 1), (t(500), 2)]);
+    });
+
+    on_both!(wire_class_is_fifo_within_itself, |q| {
+        q.push_wire(t(9), 0);
+        q.push(t(9), 2);
+        q.push_wire(t(9), 1);
+        let order: Vec<i64> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, vec![0, 1, 2]);
+    });
+
+    on_both!(wire_push_mid_drain_preempts_pending_normals, |q| {
+        // Pop one of three same-instant normals, then push a wire event at
+        // that instant: it must pop before the two remaining normals even
+        // though they were pushed first.
         q.push(t(500), 1);
         q.push(t(500), 2);
         q.push(t(500), 3);
         assert_eq!(q.pop(), Some((t(500), 1)));
         q.push_wire(t(500), 0);
         q.push(t(500), 4);
-        assert_eq!(q.pop(), Some((t(500), 0)));
-        assert_eq!(q.pop(), Some((t(500), 2)));
-        assert_eq!(q.pop(), Some((t(500), 3)));
-        assert_eq!(q.pop(), Some((t(500), 4)));
-        assert_eq!(q.pop(), None);
-    }
+        let order: Vec<i64> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, vec![0, 2, 3, 4]);
+    });
 
-    #[test]
-    fn push_mid_batch_at_staged_instant_pops_after_staged_run() {
-        let mut q = EventQueue::wheel();
+    on_both!(push_mid_drain_at_current_instant_pops_after_pending_run, |q| {
         q.push(t(100), 1);
         q.push(t(100), 2);
         assert_eq!(q.pop(), Some((t(100), 1)));
-        // Same instant, normal class, later seq: after the staged run.
+        // Same instant, normal class, later seq: after the pending run.
         q.push(t(100), 3);
         assert_eq!(q.pop(), Some((t(100), 2)));
         assert_eq!(q.pop(), Some((t(100), 3)));
         assert_eq!(q.peek_time(), None);
-    }
+    });
 
-    #[test]
-    fn staged_batch_survives_interleaved_later_pushes() {
-        let mut q = EventQueue::wheel();
+    on_both!(same_instant_run_survives_interleaved_later_pushes, |q| {
         for i in 0..5 {
             q.push(t(50), i);
         }
         assert_eq!(q.pop(), Some((t(50), 0)));
-        // Far-future pushes while a batch is staged must not disturb it.
+        // Later pushes in the middle of an instant's run must not disturb it.
         q.push(t(50 + WINDOW * 2), 100);
         q.push(t(60), 99);
         for i in 1..5 {
@@ -753,36 +571,9 @@ mod tests {
         }
         assert_eq!(q.pop(), Some((t(60), 99)));
         assert_eq!(q.pop(), Some((t(50 + WINDOW * 2), 100)));
-    }
+    });
 
-    #[test]
-    fn batching_off_matches_batching_on() {
-        let schedule: Vec<(u64, i64)> = (0..200)
-            .map(|i| (((i * 37) % 11) * 100, i as i64))
-            .collect();
-        let run = |on: bool| {
-            batch::set_override(Some(on));
-            let mut q = EventQueue::wheel();
-            for &(time, v) in &schedule {
-                q.push(t(time), v);
-            }
-            let mut order = Vec::new();
-            while let Some((time, v)) = q.pop() {
-                order.push((time, v));
-                // Interleave same-instant and later pushes mid-drain.
-                if v % 17 == 0 {
-                    q.push(time, 1000 + v);
-                }
-            }
-            batch::set_override(None);
-            order
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn wheel_spans_bucket_and_far_boundaries() {
-        let mut q = EventQueue::wheel();
+    on_both!(spans_bucket_and_far_boundaries, |q| {
         // One imminent event anchors the wheel, then events land in every
         // tier: active, several buckets, and far overflow.
         q.push(t(100), 0);
@@ -792,13 +583,11 @@ mod tests {
         q.push(t(100 + BUCKET_WIDTH * 2), 2); // near wheel
         q.push(t(100 + WINDOW * 3), 6); // same far instant: FIFO
         q.push(t(100 + WINDOW - 1), 4); // last bucket
-        let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        let order: Vec<i64> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
         assert_eq!(order, vec![1, 0, 2, 3, 4, 5, 6]);
-    }
+    });
 
-    #[test]
-    fn wheel_rebase_after_idle_gap() {
-        let mut q = EventQueue::wheel();
+    on_both!(rebase_after_idle_gap, |q| {
         q.push(t(1_000), 1);
         assert_eq!(q.pop(), Some((t(1_000), 1)));
         // Queue is empty; the next push is far beyond the previous window
@@ -808,12 +597,70 @@ mod tests {
         assert_eq!(q.pop(), Some((t(WINDOW * 10), 2)));
         assert_eq!(q.pop(), Some((t(WINDOW * 10 + BUCKET_WIDTH), 3)));
         assert_eq!(q.pop(), None);
+    });
+
+    /// One step of a queue workout.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Push at `last_popped_time + delta` (never into the past, like a
+        /// real scheduler; `delta` 0 is an `immediately` during dispatch).
+        Push { delta: u64 },
+        /// Push a wire-class event at `last_popped_time + delta`.
+        PushWire { delta: u64 },
+        /// Pop one event.
+        Pop,
+    }
+
+    /// Run `ops` against the wheel and the oracle, checking after every
+    /// step that both agree on the next pop time, the popped event and the
+    /// length, then drain both and compare the tails.
+    fn assert_same_pops(ops: &[Op]) {
+        let mut wheel = EventQueue::new();
+        let mut oracle = HeapOracle::new();
+        let mut now = 0u64;
+        for (id, op) in ops.iter().enumerate() {
+            let id = id as i64;
+            match *op {
+                Op::Push { delta } => {
+                    wheel.push(t(now + delta), id);
+                    oracle.push(t(now + delta), id);
+                }
+                Op::PushWire { delta } => {
+                    wheel.push_wire(t(now + delta), id);
+                    oracle.push_wire(t(now + delta), id);
+                }
+                Op::Pop => {
+                    assert_eq!(wheel.peek_time(), oracle.peek_time());
+                    let (a, b) = (wheel.pop(), oracle.pop());
+                    assert_eq!(a, b);
+                    if let Some((time, _)) = a {
+                        assert!(time.as_nanos() >= now, "the clock only moves forward");
+                        now = time.as_nanos();
+                    }
+                }
+            }
+            assert_eq!(wheel.len(), oracle.len());
+            assert_eq!(wheel.is_empty(), oracle.is_empty());
+        }
+        assert_eq!(drain(&mut wheel), drain(&mut oracle));
     }
 
     #[test]
-    fn wheel_matches_heap_on_dense_random_schedule() {
+    fn wheel_matches_oracle_with_same_instant_pushes_during_drain() {
+        // 200 events over 11 instants, drained with a push at the popped
+        // instant after every 17th pop.
+        let pushes = (0..200u64).map(|i| Op::Push { delta: ((i * 37) % 11) * 100 });
+        let pops = (1..=300).flat_map(|i| {
+            let echo = (i % 17 == 0).then_some(Op::Push { delta: 0 });
+            std::iter::once(Op::Pop).chain(echo)
+        });
+        assert_same_pops(&pushes.chain(pops).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn wheel_matches_oracle_on_dense_random_schedule() {
         // Deterministic xorshift; mixes same-instant ties, short and long
-        // horizons, and interleaved pops.
+        // horizons, wire-class pushes and interleaved pops.
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut rnd = move || {
             state ^= state << 13;
@@ -821,41 +668,83 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut wheel = EventQueue::wheel();
-        let mut heap = EventQueue::heap();
-        let mut now = 0u64;
-        for i in 0..50_000i64 {
-            let op = rnd() % 10;
-            if op < 6 {
-                let dt = match rnd() % 4 {
+        let ops: Vec<Op> = (0..50_000)
+            .map(|_| {
+                if rnd() % 10 >= 6 {
+                    return Op::Pop;
+                }
+                let delta = match rnd() % 4 {
                     0 => 0,                         // same instant
                     1 => rnd() % 1_000,             // sub-bucket
                     2 => rnd() % (WINDOW / 2),      // mid wheel
                     _ => WINDOW + rnd() % WINDOW,   // far heap
                 };
                 if rnd() % 8 == 0 {
-                    wheel.push_wire(t(now + dt), i);
-                    heap.push_wire(t(now + dt), i);
+                    Op::PushWire { delta }
                 } else {
-                    wheel.push(t(now + dt), i);
-                    heap.push(t(now + dt), i);
+                    Op::Push { delta }
                 }
-            } else {
-                assert_eq!(wheel.peek_time(), heap.peek_time());
-                let (a, b) = (wheel.pop(), heap.pop());
-                assert_eq!(a, b);
-                if let Some((time, _)) = a {
-                    now = time.as_nanos();
-                }
-            }
-            assert_eq!(wheel.len(), heap.len());
+            })
+            .collect();
+        assert_same_pops(&ops);
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            // Dense short-horizon traffic (sub-bucket and same-bucket).
+            (0u64..2_000).prop_map(|delta| Op::Push { delta }),
+            // Mid-wheel horizons around the paper's packet timescales.
+            (0u64..3_000_000).prop_map(|delta| Op::Push { delta }),
+            // Far-future overflow beyond the wheel window.
+            (0u64..200_000_000).prop_map(|delta| Op::Push { delta }),
+            (0u64..2_000).prop_map(|delta| Op::PushWire { delta }),
+            Just(Op::Push { delta: 0 }),
+            Just(Op::Pop),
+            Just(Op::Pop),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn wheel_and_oracle_pop_identically(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+            assert_same_pops(&ops);
         }
-        loop {
-            let (a, b) = (wheel.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
+
+        #[test]
+        fn wheel_drains_in_nondecreasing_stable_order(
+            times in proptest::collection::vec(0u64..50_000_000, 1..300),
+        ) {
+            // All-push-then-drain: pops must come out sorted by (time, push seq).
+            let mut wheel = EventQueue::new();
+            for (i, &time) in times.iter().enumerate() {
+                wheel.push(t(time), i as i64);
             }
+            let mut expect: Vec<(SimTime, i64)> =
+                times.iter().enumerate().map(|(i, &time)| (t(time), i as i64)).collect();
+            expect.sort(); // (time, seq): stable tie order by construction
+            prop_assert_eq!(drain(&mut wheel), expect);
+        }
+
+        #[test]
+        fn clear_resets_wheel_for_reuse(
+            first in proptest::collection::vec(0u64..100_000_000, 1..50),
+            second in proptest::collection::vec(0u64..100_000_000, 1..50),
+        ) {
+            let mut wheel = EventQueue::new();
+            let mut oracle = HeapOracle::new();
+            for (i, &time) in first.iter().enumerate() {
+                wheel.push(t(time), i as i64);
+                oracle.push(t(time), i as i64);
+            }
+            wheel.clear();
+            oracle.clear();
+            prop_assert!(wheel.is_empty());
+            for (i, &time) in second.iter().enumerate() {
+                wheel.push(t(time), i as i64);
+                oracle.push(t(time), i as i64);
+            }
+            prop_assert_eq!(drain(&mut wheel), drain(&mut oracle));
         }
     }
 }

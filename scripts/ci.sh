@@ -50,6 +50,11 @@ run test -q --workspace "${CARGO_FLAGS[@]}"
 # Lints: the tree stays warning-free.
 run clippy --workspace --all-targets "${CARGO_FLAGS[@]}" -- -D warnings
 
+# Compile-only guard for the end-to-end benchmark. It lives in a workspace
+# of its own and builds against the library crates' public API, which
+# nothing above compiles, so an API removal that breaks it fails here.
+run check --offline --locked --manifest-path e2ebench/Cargo.toml
+
 # Blocking determinism/unit-safety gate (see DESIGN.md "Static invariants").
 # Writes the machine-readable report to results/simlint_report.json.
 # Includes the probe-unique rule: ProbeId names stay unique workspace-wide.
