@@ -1,8 +1,8 @@
 //! Criterion bench of the sharded engine against the sequential reference
 //! on the same multicast workload: identical event streams (the parity
 //! suites prove bit-for-bit equality), so any median delta is pure engine
-//! overhead — window bookkeeping on a single core, parallel speedup when
-//! cores are available.
+//! overhead: the window bookkeeping of running the shards in turn on the
+//! calling thread.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gm_sim::probe::ProbeConfig;

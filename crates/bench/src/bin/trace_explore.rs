@@ -241,11 +241,10 @@ fn main() {
     if report.metrics.get("parallel.shards") > 0 {
         let shards = report.metrics.get("parallel.shards");
         println!(
-            "\nsharded execution: {} shards, {} windows, {} horizon tightenings, {} barrier waits",
+            "\nsharded execution: {} shards, {} windows, {} horizon tightenings",
             shards,
             report.metrics.get("parallel.windows"),
             report.metrics.get("parallel.horizon_tightenings"),
-            report.metrics.get("parallel.barrier_waits"),
         );
         for i in 0..shards {
             println!(

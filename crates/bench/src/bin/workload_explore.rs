@@ -284,11 +284,10 @@ fn main() {
 
     if report.metrics.get("parallel.shards") > 0 {
         println!(
-            "\nsharded execution: {} shards, {} windows, {} barrier waits, \
+            "\nsharded execution: {} shards, {} windows, \
              {}% event imbalance (max-min over max shard events)",
             report.metrics.get("parallel.shards"),
             report.metrics.get("parallel.windows"),
-            report.metrics.get("parallel.barrier_waits"),
             report.metrics.get("parallel.event_imbalance_pct"),
         );
         for i in 0..report.metrics.get("parallel.shards") {

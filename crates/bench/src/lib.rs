@@ -295,8 +295,8 @@ pub mod phases {
 
     /// Run `f` (a `Workload` build and run), returning its result, its wall
     /// time and the part of it spent in the engine's dispatch loops (read
-    /// from `gm_sim::dispatch_stats`; summed over shard threads when the
-    /// run is sharded).
+    /// from `gm_sim::dispatch_stats`; a sharded run's window loop counts
+    /// as one dispatch loop).
     pub fn timed_run<T>(f: impl FnOnce() -> T) -> (T, Duration, Duration) {
         let (_, before) = gm_sim::dispatch_stats::snapshot();
         let started = Instant::now();
@@ -376,8 +376,8 @@ pub mod perf {
             serde_json::Value::Float(process_wall.as_secs_f64()),
         );
         // Record the execution environment so baseline comparisons are
-        // honest: a 4-shard run on a single-core host shows window-protocol
-        // overhead, not parallel speedup.
+        // honest: sweep points spread over the host's cores, and a sharded
+        // run pays the window-protocol overhead on one of them.
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         entry.insert("cores", serde_json::Value::UInt(cores as u64));
         let shards = nic_mcast::env_shards();

@@ -249,7 +249,7 @@ impl Scenario {
         self
     }
 
-    /// Number of shards for parallel execution (default: the
+    /// Number of shards for sharded execution (default: the
     /// `MYRI_SIM_SHARDS` environment variable, else 1 = sequential).
     /// Sharding never changes results — the merged run is bit-for-bit
     /// identical to the sequential reference — and configurations that

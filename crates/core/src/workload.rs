@@ -326,7 +326,7 @@ impl Workload {
         self
     }
 
-    /// Number of shards for parallel execution (default: `MYRI_SIM_SHARDS`,
+    /// Number of shards for sharded execution (default: `MYRI_SIM_SHARDS`,
     /// else 1). Results are bit-for-bit identical at any shard count.
     pub fn shards(mut self, n: u32) -> Workload {
         self.shards = n;
@@ -659,8 +659,8 @@ struct GroupTally {
     bytes: u64,
 }
 
-/// Per-node measurement state (locked only by its own node's app, so
-/// thread interleaving under sharded execution cannot reorder anything).
+/// Per-node measurement state (locked only by its own node's app, so the
+/// order in which shards run their windows cannot reorder anything).
 #[derive(Default)]
 struct NodeStats {
     delivered_total: u64,

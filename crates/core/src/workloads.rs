@@ -94,7 +94,7 @@ pub struct McastRun {
     pub params: GmParams,
     /// Network parameters.
     pub net: NetParams,
-    /// Requested shard count for parallel execution (1 = sequential; the
+    /// Requested shard count for sharded execution (1 = sequential; the
     /// default honours `MYRI_SIM_SHARDS`). Results are bit-for-bit
     /// identical either way; infeasible configurations (targeted drop
     /// rules, indivisible topologies) silently fall back to sequential.
@@ -481,11 +481,6 @@ pub(crate) fn harvest_observability(
             "parallel",
             "horizon_tightenings",
             shard_stats.iter().map(|s| s.horizon_tightenings).sum(),
-        );
-        metrics.set(
-            "parallel",
-            "barrier_waits",
-            shard_stats.iter().map(|s| s.barrier_waits).sum(),
         );
         for (i, s) in shard_stats.iter().enumerate() {
             metrics.set("parallel", &format!("shard{i}.events"), s.events);

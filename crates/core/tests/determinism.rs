@@ -59,34 +59,3 @@ fn runs_with_faults_are_bit_for_bit_identical() {
     run.faults.drop_prob = 0.05;
     assert_deterministic(&run);
 }
-
-#[test]
-fn sharded_caller_mode_is_deterministic_and_matches_sequential() {
-    // This binary does not set MYRI_SIM_FORCE_THREADS, so on a single-core
-    // host the sharded run exercises the caller-mode window protocol; the
-    // threaded loop is pinned in `parallel_parity.rs`. Either way the
-    // canonical Report observables must agree with the sequential run.
-    use nic_mcast::execute_instrumented;
-
-    let mut run = McastRun::new(8, 1024, McastMode::NicBased, TreeShape::Binomial);
-    run.warmup = 1;
-    run.iters = 3;
-    run.faults.drop_prob = 0.02;
-    run.shards = 1;
-    let seq = execute_instrumented(&run, ProbeConfig::spans());
-    run.shards = 4;
-    let par1 = execute_instrumented(&run, ProbeConfig::spans());
-    let par2 = execute_instrumented(&run, ProbeConfig::spans());
-    for par in [&par1, &par2] {
-        assert_eq!(seq.output.events, par.output.events);
-        assert_eq!(seq.output.end_time, par.output.end_time);
-        assert_eq!(
-            seq.output.latency.mean().to_bits(),
-            par.output.latency.mean().to_bits()
-        );
-        // `parallel.*` is execution diagnostics (only present on sharded
-        // runs); everything else must match the sequential run exactly.
-        assert_eq!(seq.metrics, par.metrics.without_layer("parallel"));
-        assert_eq!(seq.probe.to_vec(), par.probe.to_vec());
-    }
-}

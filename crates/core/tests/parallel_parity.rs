@@ -2,13 +2,8 @@
 //! must be **bit-for-bit identical** to the sequential reference — same
 //! latencies, same counters, same probe event stream, same iteration
 //! windows. This is the contract that makes `--shards`/`MYRI_SIM_SHARDS`
-//! a pure wall-clock knob.
-//!
-//! The test container may be single-core; `MYRI_SIM_FORCE_THREADS=1` is
-//! set here so the sharded runs exercise the real scoped-thread window
-//! loop, not just the caller-mode fallback (caller-mode parity is pinned
-//! separately in `determinism.rs`, which runs in its own process without
-//! the flag).
+//! a pure partitioning knob. The sharded engine runs every shard on the
+//! calling thread, so these runs exercise the one window protocol there is.
 
 use gm_sim::probe::ProbeConfig;
 use gm_sim::{FlowGraph, SeriesConfig, SimTime, WatchConfig};
@@ -18,12 +13,6 @@ use nic_mcast::{
     StopCondition, TreeShape, Workload,
 };
 use proptest::prelude::*;
-
-/// Latch the threaded window loop on (checked once per process, so set it
-/// before the first sharded run).
-fn force_threads() {
-    std::env::set_var("MYRI_SIM_FORCE_THREADS", "1");
-}
 
 fn run_with_shards(run: &McastRun, shards: u32, probes: ProbeConfig) -> InstrumentedOutput {
     let mut r = run.clone();
@@ -103,7 +92,6 @@ fn assert_bit_identical(run: &McastRun, shards: u32) {
 
 #[test]
 fn crossbar_nic_based_matches_across_shard_counts() {
-    force_threads();
     let mut run = McastRun::new(8, 1024, McastMode::NicBased, TreeShape::Binomial);
     run.warmup = 2;
     run.iters = 4;
@@ -114,7 +102,6 @@ fn crossbar_nic_based_matches_across_shard_counts() {
 
 #[test]
 fn clos_topology_shards_along_leaves() {
-    force_threads();
     // 32 nodes is a two-stage Clos: partitions must align on leaf switches
     // and the lookahead doubles. Both are exercised here.
     let mut run = McastRun::new(32, 512, McastMode::NicBased, TreeShape::KAry(4));
@@ -125,17 +112,20 @@ fn clos_topology_shards_along_leaves() {
 
 #[test]
 fn lossy_runs_match_because_fault_draws_are_per_packet() {
-    force_threads();
-    let mut run = McastRun::new(8, 512, McastMode::NicBased, TreeShape::Binomial);
-    run.warmup = 1;
-    run.iters = 6;
-    run.faults = FaultPlan::with_loss(0.05);
-    assert_bit_identical(&run, 4);
+    // (size, iters, loss) on 8 nodes, binomial tree, 4 shards. Repeated
+    // sharded runs agree with each other because each equals the
+    // sequential run.
+    for (size, iters, loss) in [(512, 6, 0.05), (1024, 3, 0.02)] {
+        let mut run = McastRun::new(8, size, McastMode::NicBased, TreeShape::Binomial);
+        run.warmup = 1;
+        run.iters = iters;
+        run.faults = FaultPlan::with_loss(loss);
+        assert_bit_identical(&run, 4);
+    }
 }
 
 #[test]
 fn targeted_drop_rules_fall_back_to_sequential() {
-    force_threads();
     // Rules carry mutable count-down state, so sharding is infeasible; the
     // run must still complete (sequentially) and agree with shards=1.
     let mut run = McastRun::new(6, 256, McastMode::NicBased, TreeShape::Binomial);
@@ -155,7 +145,6 @@ fn targeted_drop_rules_fall_back_to_sequential() {
 
 #[test]
 fn many_group_workload_matches_across_shard_counts() {
-    force_threads();
     // A sustained 64-group Zipf workload on a 32-node Clos: many concurrent
     // collectives interleave on one fabric, group-table slots churn, and the
     // percentile/goodput/fairness summary must come out byte-identical at
@@ -220,7 +209,6 @@ fn many_group_workload_matches_across_shard_counts() {
 
 #[test]
 fn injected_loss_raises_a_retx_storm_with_flow_evidence() {
-    force_threads();
     // A seeded retransmission storm: per-packet loss on a sustained
     // workload forces Go-Back-N rewinds, which the `retx_storm` detector
     // must surface — with the causally-active FlowIds as evidence and the
@@ -291,7 +279,6 @@ proptest! {
         loss_on in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        force_threads();
         let mode = if host_based { McastMode::HostBased } else { McastMode::NicBased };
         let mut run = McastRun::new(n, size, mode, TreeShape::KAry(shape_k));
         run.warmup = 1;

@@ -226,8 +226,8 @@ impl<X: NicExtension> Cluster<X> {
     /// workload layer derives one from group membership, tree degree and
     /// arrival counts). [`split`](Self::split) then places shard boundaries
     /// with [`Topology::partition_weighted`], minimizing the heaviest
-    /// shard's load instead of balancing node counts — less time parked at
-    /// window barriers when the traffic is skewed. Weights steer *placement
+    /// shard's load instead of balancing node counts, so shard event counts
+    /// stay even when the traffic is skewed. Weights steer *placement
     /// only*: results stay bit-for-bit identical at any shard count and any
     /// weighting, because shard ownership never affects event outcomes.
     pub fn set_partition_weights(&mut self, weights: Vec<u64>) {
@@ -410,7 +410,8 @@ impl<X: NicExtension> Cluster<X> {
     /// Wrap in a [`ShardedEngine`] of (at most) `n_shards` shards with every
     /// node's `AppStart` scheduled on its owning shard. The run is
     /// bit-for-bit identical to [`into_engine`](Self::into_engine) +
-    /// `run_to_idle` — the engines differ only in wall-clock parallelism.
+    /// `run_to_idle` — the engines differ only in how they group events
+    /// into lookahead windows.
     ///
     /// Panics when [`shard_infeasible`](Self::shard_infeasible).
     pub fn into_sharded_engine(self, n_shards: u32) -> ShardedEngine<Cluster<X>> {

@@ -1,19 +1,20 @@
-//! Lookahead-windowed parallel execution: shard a world across cores with a
-//! bit-for-bit deterministic merge.
+//! Lookahead-windowed sharded execution: split a world into partitions and
+//! run them with a bit-for-bit deterministic merge.
 //!
 //! A [`ShardWorld`] is one partition of a simulation: it owns a disjoint
 //! slice of the world's state and an [`EventQueue`](crate::EventQueue) of its
 //! own, and interacts with other shards **only** by emitting hand-off
 //! messages into an [`Outbox`]. The [`ShardedEngine`] runs the classic
-//! conservative (Chandy–Misra / YAWNS-style) barrier-synchronized loop:
+//! conservative (Chandy–Misra / YAWNS-style) window loop on the calling
+//! thread:
 //!
-//! 1. every shard publishes the timestamp of its earliest pending event;
-//! 2. the global window start `W` is the minimum; shards then dispatch their
-//!    local events concurrently while `t < horizon`, where each shard's
-//!    horizon is at least `W + lookahead` (`lookahead` = the minimum latency
-//!    of any cross-shard interaction, so nothing a peer does inside the
-//!    window can affect events this side of the horizon);
-//! 3. at the barrier, emitted hand-offs are routed to their destination
+//! 1. every shard reports the timestamp of its earliest pending event;
+//! 2. the global window start `W` is the minimum; each shard in turn then
+//!    dispatches its local events while `t < horizon`, where its horizon is
+//!    at least `W + lookahead` (`lookahead` = the minimum latency of any
+//!    cross-shard interaction, so nothing a peer does inside the window can
+//!    affect events this side of the horizon);
+//! 3. between windows, emitted hand-offs are routed to their destination
 //!    shards and absorbed in the canonical `(time, src, seq)` order.
 //!
 //! Two refinements on the textbook loop:
@@ -22,22 +23,20 @@
 //!   `min(earliest event of any *other* shard, earliest hand-off it emitted
 //!   itself this window) + lookahead`. When only one shard is active (the
 //!   serial phases of a ping-pong workload) it keeps running alone until it
-//!   actually talks to a peer, amortizing barrier costs away.
-//! * **Determinism is schedule-independent.** Window sizing and thread
-//!   interleaving only decide *when* events are dispatched, never their
-//!   relative order within a shard (each queue is insertion-stable) or the
-//!   order of hand-offs (sorted by the unique `(time, src, seq)` key before
-//!   absorption, and delivered ahead of same-instant local events via
+//!   actually talks to a peer, so it needs few windows.
+//! * **Determinism is schedule-independent.** Window sizing only decides
+//!   *when* events are dispatched, never their relative order within a
+//!   shard (each queue is insertion-stable) or the order of hand-offs
+//!   (sorted by the unique `(time, src, seq)` key before absorption, and
+//!   delivered ahead of same-instant local events via
 //!   [`EventClass::Wire`](crate::queue::EventClass)). Results are therefore
 //!   bit-for-bit identical to the sequential engine — proven by the
 //!   differential suites in `crates/core`.
 //!
-//! On a single-core host (or with one shard) the engine runs the identical
-//! window protocol on the calling thread — same results, no thread overhead;
-//! `MYRI_SIM_FORCE_THREADS=1` forces the threaded path for parity testing.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+//! Sharding never spawns a thread: a measured threaded variant of this loop
+//! lost to sequential dispatch on every workload (DESIGN.md §11). Host
+//! parallelism comes from running independent simulations side by side,
+//! e.g. `bench::par_map` over sweep points.
 
 use crate::engine::{dispatch_stats, RunOutcome, Scheduler};
 use crate::time::{SimDuration, SimTime};
@@ -47,11 +46,11 @@ use crate::time::{SimDuration, SimTime};
 /// Implementations must route every cross-shard effect through the
 /// [`Outbox`] (with a hand-off time at least `lookahead` after the emitting
 /// event) and keep all other state strictly shard-local.
-pub trait ShardWorld: Send {
+pub trait ShardWorld {
     /// The event alphabet of this world.
-    type Event: Send;
+    type Event;
     /// A cross-shard hand-off message (e.g. a packet crossing the fabric).
-    type Handoff: Send;
+    type Handoff;
 
     /// Handle one event at `sched.now()`, emitting any cross-shard effects
     /// into `outbox`.
@@ -62,8 +61,8 @@ pub trait ShardWorld: Send {
         outbox: &mut Outbox<Self::Handoff>,
     );
 
-    /// Deliver one hand-off emitted by a peer shard. Called at the window
-    /// barrier, in canonical `(time, src, seq)` order; implementations
+    /// Deliver one hand-off emitted by a peer shard. Called between
+    /// windows, in canonical `(time, src, seq)` order; implementations
     /// typically buffer the payload and schedule a wire-class drain event
     /// at `msg.time` via [`Scheduler::at_wire`].
     fn absorb(&mut self, msg: OutMsg<Self::Handoff>, sched: &mut Scheduler<Self::Event>);
@@ -135,8 +134,7 @@ impl<H> Default for Outbox<H> {
 /// Execution diagnostics for one shard, exposed through
 /// [`ShardedEngine::shard_stats`] (and surfaced as `parallel.*` metrics by
 /// the scenario layer). These describe *how* the run was executed — they
-/// legitimately differ between sequential, caller-mode, and threaded runs,
-/// unlike simulation results.
+/// legitimately differ across shard counts, unlike simulation results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Windows this shard participated in (run_window invocations).
@@ -144,8 +142,6 @@ pub struct ShardStats {
     /// Windows whose horizon was dynamically tightened below the static
     /// bound by the shard's own hand-off emissions.
     pub horizon_tightenings: u64,
-    /// Barrier waits performed (0 in caller mode, 2 per window threaded).
-    pub barrier_waits: u64,
     /// Events this shard dispatched.
     pub events: u64,
 }
@@ -154,54 +150,7 @@ pub struct ShardStats {
 struct Lane<W: ShardWorld> {
     world: W,
     sched: Scheduler<W::Event>,
-    events_handled: u64,
     stats: ShardStats,
-}
-
-/// Sense-reversing spin barrier for the worker threads. Spins briefly (the
-/// windows are sub-microsecond apart when shards are busy), then yields so
-/// an oversubscribed host is not starved.
-struct SpinBarrier {
-    n: u32,
-    count: AtomicU64,
-    sense: AtomicU64,
-}
-
-impl SpinBarrier {
-    fn new(n: u32) -> Self {
-        SpinBarrier {
-            n,
-            count: AtomicU64::new(0),
-            sense: AtomicU64::new(0),
-        }
-    }
-
-    fn wait(&self, local_sense: &mut u64) {
-        *local_sense ^= 1;
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == u64::from(self.n) {
-            self.count.store(0, Ordering::Relaxed);
-            self.sense.store(*local_sense, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.sense.load(Ordering::Acquire) != *local_sense {
-                spins = spins.wrapping_add(1);
-                if spins < 4096 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// Whether the threaded window loop should be used for `n_shards`.
-fn threads_enabled(n_shards: usize) -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    let force =
-        *FORCE.get_or_init(|| std::env::var("MYRI_SIM_FORCE_THREADS").as_deref() == Ok("1"));
-    n_shards > 1
-        && (force || std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1)
 }
 
 /// `floor + lookahead`, saturating at `SimTime::MAX` (idle shards publish
@@ -210,8 +159,8 @@ fn horizon(floor_ns: u64, lookahead: SimDuration) -> u64 {
     floor_ns.saturating_add(lookahead.as_nanos())
 }
 
-/// The parallel counterpart of [`Engine`](crate::Engine): S shard worlds,
-/// each with its own event queue, synchronized on lookahead windows.
+/// The sharded counterpart of [`Engine`](crate::Engine): S shard worlds,
+/// each with its own event queue, advanced together in lookahead windows.
 pub struct ShardedEngine<W: ShardWorld> {
     lanes: Vec<Lane<W>>,
     lookahead: SimDuration,
@@ -234,7 +183,6 @@ impl<W: ShardWorld> ShardedEngine<W> {
                 .map(|world| Lane {
                     world,
                     sched: Scheduler::new(),
-                    events_handled: 0,
                     stats: ShardStats::default(),
                 })
                 .collect(),
@@ -270,19 +218,13 @@ impl<W: ShardWorld> ShardedEngine<W> {
 
     /// Total events dispatched across all shards.
     pub fn events_handled(&self) -> u64 {
-        self.lanes.iter().map(|l| l.events_handled).sum()
+        self.lanes.iter().map(|l| l.stats.events).sum()
     }
 
     /// Per-shard execution diagnostics (windows, horizon tightenings,
-    /// barrier waits, events), in shard order.
+    /// events), in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.lanes
-            .iter()
-            .map(|l| ShardStats {
-                events: l.events_handled,
-                ..l.stats
-            })
-            .collect()
+        self.lanes.iter().map(|l| l.stats).collect()
     }
 
     /// Shared access to shard `i`'s world.
@@ -310,16 +252,6 @@ impl<W: ShardWorld> ShardedEngine<W> {
     /// `max_events` have been dispatched (checked at window boundaries, so
     /// the sharded engine may overshoot by up to one window).
     pub fn run(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
-        if threads_enabled(self.lanes.len()) {
-            self.run_threaded(deadline, max_events)
-        } else {
-            self.run_on_caller(deadline, max_events)
-        }
-    }
-
-    /// The window protocol on the calling thread (single core, one shard, or
-    /// threads disabled): identical decisions, identical results.
-    fn run_on_caller(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
         // simlint::allow(det-walltime, "dispatch-rate measurement of the simulator itself; never feeds simulated time")
         let started = std::time::Instant::now();
         let lookahead = self.lookahead;
@@ -327,7 +259,7 @@ impl<W: ShardWorld> ShardedEngine<W> {
         let mut mailboxes: Vec<Vec<OutMsg<W::Handoff>>> = (0..n).map(|_| Vec::new()).collect();
         let mut handled_total = 0u64;
         let outcome = loop {
-            // Barrier phase: absorb routed hand-offs in canonical order.
+            // Between windows: absorb routed hand-offs in canonical order.
             for (i, lane) in self.lanes.iter_mut().enumerate() {
                 let mut msgs = std::mem::take(&mut mailboxes[i]);
                 msgs.sort_unstable_by_key(|m| (m.time, m.src, m.seq));
@@ -371,114 +303,6 @@ impl<W: ShardWorld> ShardedEngine<W> {
         dispatch_stats::add(handled_total, started.elapsed());
         outcome
     }
-
-    /// The window protocol on scoped worker threads, one per shard, meeting
-    /// at a spin barrier twice per window.
-    fn run_threaded(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
-        let n = self.lanes.len() as u32;
-        let shared = Shared {
-            barrier: SpinBarrier::new(n),
-            next: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            total: AtomicU64::new(0),
-            lookahead: self.lookahead,
-            deadline,
-            max_events,
-        };
-        let (lane0, rest) = self.lanes.split_at_mut(1);
-        // simlint::allow(det-thread, "barrier-synchronized shard workers: hand-offs merge in canonical (time, src, seq) order, so results are schedule-independent (proven by the seq/par differential suites)")
-        std::thread::scope(|scope| {
-            for (k, lane) in rest.iter_mut().enumerate() {
-                let shared = &shared;
-                scope.spawn(move || worker_loop(k + 1, lane, shared));
-            }
-            worker_loop(0, &mut lane0[0], &shared)
-        })
-    }
-}
-
-/// Cross-thread coordination state for one `run_threaded` call.
-struct Shared<H> {
-    barrier: SpinBarrier,
-    /// Per-shard earliest pending event (ns; `u64::MAX` when idle),
-    /// published before the window-start barrier.
-    next: Vec<AtomicU64>,
-    /// Per-destination-shard hand-off mailboxes.
-    mailboxes: Vec<Mutex<Vec<OutMsg<H>>>>,
-    /// Global dispatched-event count (event-limit checks).
-    total: AtomicU64,
-    lookahead: SimDuration,
-    deadline: SimTime,
-    max_events: u64,
-}
-
-/// One worker's window loop. Every worker evaluates the same exit conditions
-/// on the same published data, so all of them leave in the same round with
-/// the same outcome.
-fn worker_loop<W: ShardWorld>(
-    me: usize,
-    lane: &mut Lane<W>,
-    sh: &Shared<W::Handoff>,
-) -> RunOutcome {
-    // simlint::allow(det-walltime, "dispatch-rate measurement of the simulator itself; never feeds simulated time")
-    let started = std::time::Instant::now();
-    let mut sense = 0u64;
-    let mut local_handled = 0u64;
-    let outcome = loop {
-        // Barrier phase: drain my mailbox in canonical order, publish my
-        // earliest pending event, meet the others at the window start.
-        let mut msgs = std::mem::take(
-            &mut *sh.mailboxes[me]
-                .lock()
-                .expect("a shard worker panicked while flushing hand-offs"),
-        );
-        msgs.sort_unstable_by_key(|m| (m.time, m.src, m.seq));
-        for m in msgs {
-            lane.world.absorb(m, &mut lane.sched);
-        }
-        let next_t = lane.sched.peek_time().map_or(u64::MAX, SimTime::as_nanos);
-        sh.next[me].store(next_t, Ordering::Release);
-        lane.stats.barrier_waits += 1;
-        sh.barrier.wait(&mut sense);
-
-        // Global decision point (identical inputs on every worker).
-        let mut w = u64::MAX;
-        let mut other_min = u64::MAX;
-        for (j, a) in sh.next.iter().enumerate() {
-            let v = a.load(Ordering::Acquire);
-            w = w.min(v);
-            if j != me {
-                other_min = other_min.min(v);
-            }
-        }
-        if w == u64::MAX {
-            break RunOutcome::Idle;
-        }
-        if w > sh.deadline.as_nanos() {
-            break RunOutcome::TimeLimit;
-        }
-        if sh.total.load(Ordering::Acquire) >= sh.max_events {
-            break RunOutcome::EventLimit;
-        }
-
-        // Window phase: run to my horizon, then flush hand-offs and meet at
-        // the window end so every mailbox is complete before the next drain.
-        let bound =
-            horizon(other_min, sh.lookahead).min(sh.deadline.as_nanos().saturating_add(1));
-        let mut outbox = Outbox::new();
-        let handled = run_window(lane, bound, sh.lookahead, &mut outbox);
-        if handled > 0 {
-            local_handled += handled;
-            sh.total.fetch_add(handled, Ordering::AcqRel);
-        }
-        if !outbox.msgs.is_empty() {
-            flush_outbox(me, outbox, &sh.mailboxes);
-        }
-        lane.stats.barrier_waits += 1;
-        sh.barrier.wait(&mut sense);
-    };
-    dispatch_stats::add(local_handled, started.elapsed());
-    outcome
 }
 
 /// Dispatch one shard's events while they fall inside its horizon. The
@@ -511,28 +335,8 @@ fn run_window<W: ShardWorld>(
     {
         lane.stats.horizon_tightenings += 1;
     }
-    lane.events_handled += handled;
+    lane.stats.events += handled;
     handled
-}
-
-/// Route a window's emissions into the shared mailboxes, one lock per
-/// destination shard. Mailbox arrival order is irrelevant: the receiver
-/// re-sorts by the unique `(time, src, seq)` key before absorbing.
-fn flush_outbox<H>(me: usize, outbox: Outbox<H>, mailboxes: &[Mutex<Vec<OutMsg<H>>>]) {
-    let mut msgs = outbox.msgs;
-    msgs.sort_unstable_by_key(|m| m.dst_shard);
-    let mut iter = msgs.into_iter().peekable();
-    while let Some(first) = iter.next() {
-        let dst = first.dst_shard as usize;
-        debug_assert_ne!(dst, me, "self hand-off must stay local");
-        let mut guard = mailboxes[dst]
-            .lock()
-            .expect("a shard worker panicked while absorbing hand-offs");
-        guard.push(first);
-        while iter.peek().is_some_and(|m| m.dst_shard as usize == dst) {
-            guard.push(iter.next().expect("peeked"));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -622,5 +426,59 @@ mod tests {
             log
         }
         assert_eq!(run(true), run(false));
+    }
+
+    /// A ring of shards: each one logs the thread it runs on and forwards
+    /// the token to the next shard, `remaining` times.
+    struct RingNode {
+        me: u32,
+        next_shard: u32,
+        remaining: u32,
+        threads: Vec<std::thread::ThreadId>,
+    }
+
+    impl ShardWorld for RingNode {
+        type Event = u64;
+        type Handoff = u64;
+
+        fn handle(&mut self, hop: u64, sched: &mut Scheduler<u64>, outbox: &mut Outbox<u64>) {
+            self.threads.push(std::thread::current().id());
+            if self.remaining > 0 {
+                self.remaining -= 1;
+                let at = sched.now() + SimDuration::from_nanos(500);
+                outbox.send(self.next_shard, at, u64::from(self.me), hop, hop + 1);
+            }
+        }
+
+        fn absorb(&mut self, m: OutMsg<u64>, sched: &mut Scheduler<u64>) {
+            sched.at_wire(m.time, m.payload);
+        }
+    }
+
+    #[test]
+    fn sharding_never_spawns_threads() {
+        const SHARDS: u32 = 4;
+        let worlds = (0..SHARDS)
+            .map(|i| RingNode {
+                me: i,
+                next_shard: (i + 1) % SHARDS,
+                remaining: 8,
+                threads: vec![],
+            })
+            .collect();
+        let mut eng = ShardedEngine::new(worlds, SimDuration::from_nanos(500));
+        // One token per shard, so every window has work on every shard.
+        for i in 0..SHARDS as usize {
+            eng.schedule(i, SimTime::ZERO, 0);
+        }
+        assert_eq!(eng.run_to_idle(), RunOutcome::Idle);
+        let me = std::thread::current().id();
+        for (i, w) in eng.into_worlds().into_iter().enumerate() {
+            assert_eq!(w.threads.len(), 9, "shard {i} handled every token hop");
+            assert!(
+                w.threads.iter().all(|&t| t == me),
+                "shard {i} dispatched an event off the calling thread"
+            );
+        }
     }
 }

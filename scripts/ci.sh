@@ -114,6 +114,28 @@ run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
 mv "$health_snapshot" results/health_explore.json
 echo "ci: report_diff OK (re-run of identical config diffs clean)"
 
+# Shard-parity gate on a figure artifact: the scalability sweep split into
+# 4 shards must reproduce the committed results/ext_scalability.json byte
+# for byte. It is a parity check, not a timing gate, so MYRI_CI_NO_PERF=1
+# does not skip it; since shards run on the calling thread it finishes in
+# well under a second, and a return of the shard-oversubscription slowdown
+# would show up as a stall here. The committed artifacts are restored after.
+sweep_ref=$(mktemp)
+perf_ref=$(mktemp)
+cp results/ext_scalability.json "$sweep_ref"
+cp results/perf_baseline.json "$perf_ref"
+MYRI_SIM_SHARDS=4 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin ext_scalability -- \
+  --iters 3 --warmup 1 >/dev/null
+parity=0
+cmp results/ext_scalability.json "$sweep_ref" || parity=$?
+mv "$sweep_ref" results/ext_scalability.json
+mv "$perf_ref" results/perf_baseline.json
+if (( parity != 0 )); then
+  echo "ci: 4-shard ext_scalability differs from the committed results/ext_scalability.json" >&2
+  exit 1
+fi
+echo "ci: shard parity OK (4-shard ext_scalability matches the committed artifact)"
+
 # Perf-regression gate: re-measure the scalability sweep's dispatch rate
 # and the steady-state workload's, and compare events_per_sec against the
 # committed baseline; more than 25% regression fails the build. Rates are
