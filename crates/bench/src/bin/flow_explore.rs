@@ -179,8 +179,8 @@ fn busiest_per_gauge(summaries: &[GaugeSummary]) -> Vec<&GaugeSummary> {
 fn main() {
     let o = parse();
     let report = run_mode(&o, o.mode);
-    let events = report.probe.to_vec();
-    let graph = FlowGraph::build(&events);
+    let events = report.probe.as_slice();
+    let graph = FlowGraph::build(events);
     let delivered = graph.delivered();
 
     println!(
@@ -276,7 +276,7 @@ fn main() {
         McastMode::HostBased => McastMode::NicBased,
     };
     let other = run_mode(&o, other_mode);
-    let other_graph = FlowGraph::build(&other.probe.to_vec());
+    let other_graph = FlowGraph::build(other.probe.as_slice());
     let sig = |r: &Report, g: &FlowGraph| -> Option<(String, SimDuration)> {
         let &w = r.windows.last()?;
         let cp = g.critical_path(w)?;

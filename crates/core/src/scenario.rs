@@ -380,8 +380,7 @@ impl BuiltScenario {
             incidents,
         } = execute_watched(&self.run, self.probes, self.series, self.watch);
         let attribution = if self.probes.is_enabled() && !windows.is_empty() {
-            let events = probe.to_vec();
-            Some(attribution::attribute(&events, &windows))
+            Some(attribution::attribute(probe.as_slice(), &windows))
         } else {
             None
         };

@@ -560,8 +560,7 @@ pub(crate) fn finish_incidents(incidents: &mut [Incident], probe: &ProbeSink) {
     if incidents.is_empty() {
         return;
     }
-    let events = probe.to_vec();
-    watch::attach_evidence(incidents, &events);
+    watch::attach_evidence(incidents, probe.as_slice());
     watch::sort_canonical(incidents);
 }
 

@@ -156,6 +156,19 @@ struct Slot<X: NicExtension> {
     parked_sends: std::collections::VecDeque<crate::nic::SendArgs>,
 }
 
+/// The per-node NIC gauges [`Cluster`] samples after every pump, in
+/// sampling order (one `static`: its address keys the sink's row cache).
+static NIC_GAUGES: [&str; 8] = [
+    "send_tokens_used",
+    "recv_tokens_avail",
+    "sram_used",
+    "lanai_queue",
+    "pci_queue",
+    "tx_queue",
+    "groups_used",
+    "retx_total",
+];
+
 /// N nodes plus the fabric — or, after [`split`](Cluster::split), one
 /// shard's contiguous slice of them (plus that shard's fabric clone).
 pub struct Cluster<X: NicExtension> {
@@ -590,36 +603,34 @@ impl<X: NicExtension> Cluster<X> {
     /// Sample this node's resource gauges into the series sink. Gauges are
     /// step functions of NIC state only, so the stream is identical whether
     /// the node runs on one shard or many; consecutive equal samples
-    /// deduplicate inside the sink.
+    /// deduplicate inside the sink, and a pump that changed no gauge costs
+    /// one compare per gauge.
     fn sample_nic_gauges(&mut self, node: NodeId, now: SimTime) {
         if !self.series.is_enabled() {
             return;
         }
         let li = self.local(node);
         let nic = &self.slots[li].nic;
-        let n = node.0;
-        self.series
-            .record(now, n, "send_tokens_used", nic.send_tokens_used() as u64);
-        self.series
-            .record(now, n, "recv_tokens_avail", nic.recv_tokens_avail() as u64);
-        self.series
-            .record(now, n, "sram_used", nic.sram_buffers_used() as u64);
-        self.series
-            .record(now, n, "lanai_queue", nic.lanai_queue_len() as u64);
-        self.series
-            .record(now, n, "pci_queue", nic.pci_queue_len() as u64);
-        self.series
-            .record(now, n, "tx_queue", nic.tx_queue_len() as u64);
-        self.series
-            .record(now, n, "groups_used", nic.groups_used() as u64);
         // Cumulative retransmissions (unicast Go-Back-N + multicast) sampled
         // as a step function of NIC state, so rate-of-change health
-        // detectors (`sim::watch`) can resolve storms in time. Consecutive
-        // equal samples deduplicate inside the sink, so the quiet case costs
-        // one comparison per pump.
+        // detectors (`sim::watch`) can resolve storms in time.
         let retx =
             nic.counters.get("retransmissions") + nic.counters.get("mcast_retransmissions");
-        self.series.record(now, n, "retx_total", retx);
+        self.series.record_row(
+            now,
+            node.0,
+            &NIC_GAUGES,
+            [
+                nic.send_tokens_used() as u64,
+                nic.recv_tokens_avail() as u64,
+                nic.sram_buffers_used() as u64,
+                nic.lanai_queue_len() as u64,
+                nic.pci_queue_len() as u64,
+                nic.tx_queue_len() as u64,
+                nic.groups_used() as u64,
+                retx,
+            ],
+        );
     }
 
     /// Run the receive stage of one boundary hand-off: reserve the

@@ -42,6 +42,16 @@ use crate::time::{SimDuration, SimTime};
 /// marks the completion candidates for critical-path extraction.
 pub const FLOW_DELIVERY: ProbeId = ProbeId::new("flow_delivery", Track::App);
 
+/// Lines of [`FlowGraph::build`]'s `FlowId → slot` cache (a power of two).
+const SLOT_CACHE_LINES: usize = 1 << 12;
+
+/// The cache line of `flow`: a multiplicative (Fibonacci) hash of its packed
+/// id, so the mapping is fixed and the build stays deterministic.
+fn cache_line(flow: FlowId) -> usize {
+    let bits = SLOT_CACHE_LINES.trailing_zeros();
+    (flow.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+}
+
 /// Per-flow facts extracted from the stream.
 #[derive(Clone, Debug)]
 struct FlowInfo {
@@ -104,6 +114,10 @@ impl FlowGraph {
         // Flows live in a Vec while the stream is walked (the map holds
         // their slots), so an open span can name its flow by slot.
         let mut slot_of: BTreeMap<FlowId, usize> = BTreeMap::new();
+        // Direct-mapped cache in front of the map: consecutive records
+        // mostly name a handful of live flows, so most lookups skip the
+        // map walk. `FlowId::NONE` marks an empty line (never looked up).
+        let mut cache = vec![(FlowId::NONE, 0usize); SLOT_CACHE_LINES];
         let mut ids: Vec<FlowId> = Vec::new();
         let mut infos: Vec<FlowInfo> = Vec::new();
         let mut deliveries: Vec<(SimTime, u64, FlowId)> = Vec::new();
@@ -111,19 +125,26 @@ impl FlowGraph {
         for e in events {
             let fi = e.flow.is_some().then(|| {
                 let key = (e.time, e.seq);
-                let fi = *slot_of.entry(e.flow).or_insert_with(|| {
-                    ids.push(e.flow);
-                    infos.push(FlowInfo {
-                        first: key,
-                        first_node: e.node,
-                        node_first: Vec::new(),
-                        delivery: None,
-                        has_host: false,
-                        pred: None,
-                        spans: Vec::new(),
+                let line = &mut cache[cache_line(e.flow)];
+                let fi = if line.0 == e.flow {
+                    line.1
+                } else {
+                    let fi = *slot_of.entry(e.flow).or_insert_with(|| {
+                        ids.push(e.flow);
+                        infos.push(FlowInfo {
+                            first: key,
+                            first_node: e.node,
+                            node_first: Vec::new(),
+                            delivery: None,
+                            has_host: false,
+                            pred: None,
+                            spans: Vec::new(),
+                        });
+                        infos.len() - 1
                     });
-                    infos.len() - 1
-                });
+                    *line = (e.flow, fi);
+                    fi
+                };
                 let info = &mut infos[fi];
                 if key < info.first {
                     info.first = key;

@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+mod canonical;
 mod engine;
 pub mod critical_path;
 pub mod flow;

@@ -26,6 +26,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::canonical::{self, Canonical};
 use crate::flow::FlowId;
 use crate::time::{SimDuration, SimTime};
 
@@ -389,6 +390,21 @@ impl ProbeSink {
         self.iter().copied().collect()
     }
 
+    /// The retained events, oldest first, as one borrowed slice. A ring
+    /// that has not wrapped is contiguous, and so is every
+    /// [`merge_canonical`](Self::merge_canonical) result: analyses of a
+    /// finished run read the stream through this without copying it.
+    ///
+    /// Panics if the ring has wrapped and was not merged since; use
+    /// [`iter`](Self::iter) there.
+    pub fn as_slice(&self) -> &[ProbeEvent] {
+        assert!(
+            self.head == 0,
+            "ProbeSink::as_slice on a wrapped ring: merge it first or use iter()"
+        );
+        &self.events
+    }
+
     /// Merge per-shard sinks into one canonical stream: a stable sort by
     /// `(time, node)` (preserving each sink's internal order) followed by a
     /// seq renumbering.
@@ -401,18 +417,15 @@ impl ProbeSink {
     /// per-sink order is a total, mode-independent key. (If any ring
     /// evicted, per-shard rings evict different records than one global ring
     /// would — size the capacity to the run when exact parity matters.)
+    ///
+    /// The sort runs in linear time on the sinks' own ring buffers (see
+    /// `sim::canonical`); a single sink's buffer becomes the result without
+    /// a copy.
     pub fn merge_canonical(sinks: Vec<ProbeSink>) -> ProbeSink {
         let enabled = sinks.iter().any(ProbeSink::is_enabled);
         let capacity: usize = sinks.iter().map(|s| s.config.capacity).sum();
         let evicted: u64 = sinks.iter().map(|s| s.evicted).sum();
-        let mut events: Vec<ProbeEvent> = Vec::with_capacity(sinks.iter().map(ProbeSink::len).sum());
-        for sink in &sinks {
-            events.extend(sink.iter().copied());
-        }
-        events.sort_by_key(|e| (e.time, e.node));
-        for (i, e) in events.iter_mut().enumerate() {
-            e.seq = i as u64;
-        }
+        let events = canonical::merge(sinks.into_iter().map(|s| (s.events, s.head)).collect());
         let seq = events.len() as u64;
         ProbeSink {
             config: ProbeConfig {
@@ -424,6 +437,22 @@ impl ProbeSink {
             seq,
             evicted,
         }
+    }
+}
+
+impl Canonical for ProbeEvent {
+    type Key = (SimTime, u32);
+
+    fn time(&self) -> SimTime {
+        self.time
+    }
+
+    fn key(&self) -> (SimTime, u32) {
+        (self.time, self.node)
+    }
+
+    fn set_seq(&mut self, seq: u64) {
+        self.seq = seq;
     }
 }
 
@@ -888,6 +917,102 @@ mod tests {
             s.instant(at(i), 0, T_A, "x", i);
         }
         assert_eq!(s.allocated_capacity(), cap, "recording must not reallocate");
+    }
+
+    /// The canonical merge by its definition: concatenate the sinks'
+    /// streams, stable-sort by `(time, node)`, renumber. The oracle for
+    /// [`ProbeSink::merge_canonical`].
+    fn merge_reference(sinks: &[ProbeSink]) -> Vec<ProbeEvent> {
+        let mut events: Vec<ProbeEvent> = sinks.iter().flat_map(|s| s.iter().copied()).collect();
+        events.sort_by_key(|e| (e.time, e.node));
+        for (i, e) in events.iter_mut().enumerate() {
+            e.seq = i as u64;
+        }
+        events
+    }
+
+    /// How a generated sink spaces its records in time.
+    const UNORDERED: u8 = 0;
+    const ONE_INSTANT: u8 = 1;
+
+    /// One sink from `(capacity, mode, records)`: each record is
+    /// `(time step, node, raw time)`. Ordered modes accumulate the steps
+    /// (many zero steps make same-instant runs); [`ONE_INSTANT`] puts every
+    /// record at one time; [`UNORDERED`] uses the raw times as drawn.
+    fn sink_from(capacity: usize, mode: u8, recs: &[(u64, u32, u64)]) -> ProbeSink {
+        let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(capacity));
+        let mut t = 0;
+        for (i, &(step, node, raw)) in recs.iter().enumerate() {
+            let time = match mode {
+                UNORDERED => raw,
+                ONE_INSTANT => 7,
+                _ => {
+                    t += step;
+                    t
+                }
+            };
+            s.instant(at(time), node, T_A, "x", i as u64);
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn merge_matches_concatenate_and_sort(
+            specs in proptest::collection::vec(
+                (
+                    1usize..48,
+                    0u8..4,
+                    proptest::collection::vec((0u64..3, 0u32..12, 0u64..20), 0..48),
+                ),
+                1..5,
+            ),
+        ) {
+            let sinks: Vec<ProbeSink> =
+                specs.iter().map(|(cap, mode, recs)| sink_from(*cap, *mode, recs)).collect();
+            let want = merge_reference(&sinks);
+            let evicted: u64 = sinks.iter().map(ProbeSink::evicted).sum();
+            let merged = ProbeSink::merge_canonical(sinks);
+            proptest::prop_assert_eq!(merged.as_slice(), want.as_slice());
+            proptest::prop_assert_eq!(merged.evicted(), evicted);
+        }
+    }
+
+    #[test]
+    fn merging_one_unwrapped_sink_reuses_its_buffer() {
+        let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(64));
+        // Nodes out of order at one instant: the run is sorted in place.
+        for (t, node) in [(0, 2), (0, 1), (0, 0), (5, 1), (9, 3), (9, 0)] {
+            s.instant(at(t), node, T_A, "x", 0);
+        }
+        let want = merge_reference(std::slice::from_ref(&s));
+        let ptr = s.as_slice().as_ptr();
+        let merged = ProbeSink::merge_canonical(vec![s]);
+        assert_eq!(merged.as_slice().as_ptr(), ptr, "one sink must merge without a copy");
+        assert_eq!(merged.as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn merging_a_wrapped_ring_makes_it_contiguous() {
+        let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(4));
+        for i in 0..10u64 {
+            s.instant(at(i), 0, T_A, "x", i);
+        }
+        let merged = ProbeSink::merge_canonical(vec![s]);
+        let kept: Vec<u64> = merged.as_slice().iter().map(|e| e.a).collect();
+        assert_eq!(kept, vec![6, 7, 8, 9]);
+        assert_eq!(merged.evicted(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrapped ring")]
+    fn as_slice_refuses_a_wrapped_ring() {
+        let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(4));
+        for i in 0..5u64 {
+            s.instant(at(i), 0, T_A, "x", i);
+        }
+        let _ = s.as_slice();
     }
 
     #[test]

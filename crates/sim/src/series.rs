@@ -24,6 +24,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::canonical::{self, Canonical};
 use crate::time::SimTime;
 
 /// What a run samples.
@@ -91,6 +92,22 @@ pub struct SeriesPoint {
     pub value: u64,
 }
 
+impl Canonical for SeriesPoint {
+    type Key = (SimTime, u32, &'static str);
+
+    fn time(&self) -> SimTime {
+        self.time
+    }
+
+    fn key(&self) -> (SimTime, u32, &'static str) {
+        (self.time, self.node, self.gauge)
+    }
+
+    fn set_seq(&mut self, seq: u64) {
+        self.seq = seq;
+    }
+}
+
 /// Number of fixed-width value bands in a [`GaugeSummary`] histogram.
 pub const HIST_BINS: usize = 8;
 
@@ -128,6 +145,9 @@ pub struct SeriesSink {
     /// a dense per-node table, so the hot path is O(#gauges) cheap compares
     /// plus one index instead of a linear scan over nodes × gauges.
     last: Vec<(&'static str, Vec<Option<u64>>)>,
+    /// Last values per [`record_row`](Self::record_row) row: the row's gauge
+    /// names, then a dense `node × gauge` table of the values it sampled.
+    rows: Vec<(&'static [&'static str], Vec<Option<u64>>)>,
 }
 
 impl SeriesSink {
@@ -145,6 +165,7 @@ impl SeriesSink {
             seq: 0,
             dropped: 0,
             last: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -174,12 +195,8 @@ impl SeriesSink {
             return;
         }
         // Gauge names are interned `&'static str`s, so pointer equality is
-        // the common-case hit; fall back to string equality for safety.
-        let gi = match self
-            .last
-            .iter()
-            .position(|(g, _)| std::ptr::eq(*g, gauge) || *g == gauge)
-        {
+        // the common-case hit; string equality runs only on a miss.
+        let gi = match self.last.iter().position(|(g, _)| std::ptr::eq(*g, gauge)) {
             Some(i) => i,
             None => self.intern_gauge(gauge),
         };
@@ -209,13 +226,59 @@ impl SeriesSink {
         }
     }
 
-    /// First sighting of a gauge name: append a dedup row for it. Runs once
-    /// per distinct gauge per sink — kept out of the hot path so `record`
-    /// stays allocation-free after warm-up.
+    /// Sample a row of gauges of one node at once: the same as one
+    /// [`record`](Self::record) per gauge, in order, but a gauge whose value
+    /// equals the one this row last sampled costs one compare, so an
+    /// unchanged row never looks a gauge name up.
+    ///
+    /// Pass the same `static` name array on every call (its address keys
+    /// the row's cache), and sample its gauges through this method only.
+    // simlint::hot
+    #[inline]
+    pub fn record_row<const N: usize>(
+        &mut self,
+        time: SimTime,
+        node: u32,
+        gauges: &'static [&'static str; N],
+        values: [u64; N],
+    ) {
+        if !self.config.enabled {
+            return;
+        }
+        let ri = match self.rows.iter().position(|(g, _)| std::ptr::eq(*g, gauges.as_slice())) {
+            Some(i) => i,
+            None => self.intern_row(gauges),
+        };
+        let base = node as usize * N;
+        if base + N > self.rows[ri].1.len() {
+            Self::grow_nodes(&mut self.rows[ri].1, base + N - 1);
+        }
+        for (i, (&gauge, &value)) in gauges.iter().zip(&values).enumerate() {
+            let prev = &mut self.rows[ri].1[base + i];
+            if *prev != Some(value) {
+                *prev = Some(value);
+                self.record(time, node, gauge, value);
+            }
+        }
+    }
+
+    /// A gauge name not found by address: find it by string (the same name
+    /// spelled at another call site), else append a dedup row for it. Kept
+    /// out of the hot path so `record` stays allocation-free after warm-up.
     #[cold]
     fn intern_gauge(&mut self, gauge: &'static str) -> usize {
+        if let Some(i) = self.last.iter().position(|(g, _)| *g == gauge) {
+            return i;
+        }
         self.last.push((gauge, Vec::new()));
         self.last.len() - 1
+    }
+
+    /// First sighting of a row: append its per-node value cache.
+    #[cold]
+    fn intern_row(&mut self, gauges: &'static [&'static str]) -> usize {
+        self.rows.push((gauges, Vec::new()));
+        self.rows.len() - 1
     }
 
     /// First sighting of a node index for a gauge: grow its dense table.
@@ -253,20 +316,14 @@ impl SeriesSink {
     /// Merge per-shard sinks into one canonical stream: stable sort by
     /// `(time, node, gauge)` (preserving each sink's internal order), then
     /// renumber. Every `(node, gauge)` pair is sampled by exactly one
-    /// shard, so the merged stream is independent of the sharding.
+    /// shard, so the merged stream is independent of the sharding. The
+    /// sort runs in linear time on the sinks' own ring buffers (see
+    /// `sim::canonical`).
     pub fn merge_canonical(sinks: Vec<SeriesSink>) -> SeriesSink {
         let enabled = sinks.iter().any(SeriesSink::is_enabled);
         let capacity: usize = sinks.iter().map(|s| s.config.capacity).sum();
         let dropped: u64 = sinks.iter().map(|s| s.dropped).sum();
-        let mut points: Vec<SeriesPoint> =
-            Vec::with_capacity(sinks.iter().map(SeriesSink::len).sum());
-        for sink in &sinks {
-            points.extend(sink.iter().copied());
-        }
-        points.sort_by_key(|p| (p.time, p.node, p.gauge));
-        for (i, p) in points.iter_mut().enumerate() {
-            p.seq = i as u64;
-        }
+        let points = canonical::merge(sinks.into_iter().map(|s| (s.points, s.head)).collect());
         let seq = points.len() as u64;
         SeriesSink {
             config: SeriesConfig {
@@ -278,6 +335,7 @@ impl SeriesSink {
             seq,
             dropped,
             last: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -402,6 +460,92 @@ mod tests {
         let m: Vec<_> = merged.iter().copied().collect();
         let o: Vec<_> = one.iter().copied().collect();
         assert_eq!(m, o, "merge must not depend on sharding");
+    }
+
+    /// The canonical merge by its definition: concatenate the sinks'
+    /// streams, stable-sort by `(time, node, gauge)`, renumber. The oracle
+    /// for [`SeriesSink::merge_canonical`].
+    fn merge_reference(sinks: &[SeriesSink]) -> Vec<SeriesPoint> {
+        let mut points: Vec<SeriesPoint> = sinks.iter().flat_map(|s| s.iter().copied()).collect();
+        points.sort_by_key(|p| (p.time, p.node, p.gauge));
+        for (i, p) in points.iter_mut().enumerate() {
+            p.seq = i as u64;
+        }
+        points
+    }
+
+    const GAUGES: [&str; 3] = ["tokens", "queue", "sram"];
+
+    /// How a generated sink spaces its points in time.
+    const UNORDERED: u8 = 0;
+    const ONE_INSTANT: u8 = 1;
+
+    /// One sink from `(capacity, mode, points)`: each point is `(time
+    /// step, node, gauge index, raw time)`. Ordered modes accumulate the
+    /// steps; [`ONE_INSTANT`] puts every point at one time; [`UNORDERED`]
+    /// uses the raw times as drawn. Values count up, so no sample dedups.
+    fn sink_from(capacity: usize, mode: u8, pts: &[(u64, u32, usize, u64)]) -> SeriesSink {
+        let mut s = SeriesSink::new(SeriesConfig::with_capacity(capacity));
+        let mut t = 0;
+        for (i, &(step, node, g, raw)) in pts.iter().enumerate() {
+            let time = match mode {
+                UNORDERED => raw,
+                ONE_INSTANT => 7,
+                _ => {
+                    t += step;
+                    t
+                }
+            };
+            s.record(at(time), node, GAUGES[g], i as u64);
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn merge_matches_concatenate_and_sort(
+            specs in proptest::collection::vec(
+                (
+                    1usize..48,
+                    0u8..4,
+                    proptest::collection::vec((0u64..3, 0u32..12, 0usize..3, 0u64..20), 0..48),
+                ),
+                1..5,
+            ),
+        ) {
+            let sinks: Vec<SeriesSink> =
+                specs.iter().map(|(cap, mode, pts)| sink_from(*cap, *mode, pts)).collect();
+            let want = merge_reference(&sinks);
+            let dropped: u64 = sinks.iter().map(SeriesSink::dropped).sum();
+            let merged = SeriesSink::merge_canonical(sinks);
+            let got: Vec<SeriesPoint> = merged.iter().copied().collect();
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(merged.dropped(), dropped);
+        }
+
+        #[test]
+        fn record_row_equals_one_record_per_gauge(
+            rows in proptest::collection::vec(
+                (0u64..3, 0u32..4, (0u64..3, 0u64..3, 0u64..3)),
+                0..64,
+            ),
+        ) {
+            static ROW: [&str; 3] = GAUGES;
+            let mut by_row = SeriesSink::new(SeriesConfig::with_capacity(256));
+            let mut by_gauge = SeriesSink::new(SeriesConfig::with_capacity(256));
+            let mut t = 0;
+            for &(step, node, (a, b, c)) in &rows {
+                t += step;
+                by_row.record_row(at(t), node, &ROW, [a, b, c]);
+                for (g, v) in GAUGES.into_iter().zip([a, b, c]) {
+                    by_gauge.record(at(t), node, g, v);
+                }
+            }
+            let got: Vec<SeriesPoint> = by_row.iter().copied().collect();
+            let want: Vec<SeriesPoint> = by_gauge.iter().copied().collect();
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -72,10 +72,22 @@ echo "ci: simcheck report at results/simcheck_report.json"
 # Observability gate: one probed run must export a Perfetto-loadable Chrome
 # trace-event document (--check re-parses it and validates ph/ts/pid/tid,
 # B/E balance and per-track timestamp monotonicity) with the attribution
-# buckets summing to the measured mean.
+# buckets summing to the measured mean. The fresh trace must also equal the
+# committed one byte for byte: the probe stream is deterministic, so any
+# change to recording or to the canonical merge shows up here. The committed
+# artifact is restored after.
+trace_snapshot=$(mktemp)
+cp results/trace_nic_16n_4096B.json "$trace_snapshot"
 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin trace_explore -- \
   --nodes 16 --size 4096 --mode nic --shape adaptive --check
-echo "ci: trace schema OK (results/trace_nic_16n_4096B.json)"
+trace_diff=0
+cmp results/trace_nic_16n_4096B.json "$trace_snapshot" || trace_diff=$?
+mv "$trace_snapshot" results/trace_nic_16n_4096B.json
+if (( trace_diff != 0 )); then
+  echo "ci: trace_explore output differs from the committed results/trace_nic_16n_4096B.json" >&2
+  exit 1
+fi
+echo "ci: trace schema OK, byte-identical to the committed results/trace_nic_16n_4096B.json"
 
 # Causal-tracing gate: the flow graph of the headline configuration must be
 # acyclic with complete lineages, and every measured window's critical-path
