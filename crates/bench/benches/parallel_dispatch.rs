@@ -5,8 +5,7 @@
 //! calling thread.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gm_sim::probe::ProbeConfig;
-use nic_mcast::{execute_instrumented, McastMode, McastRun, TreeShape};
+use nic_mcast::{execute_watched, McastMode, McastRun, Observe, TreeShape};
 
 /// One fixed workload: a 32-node Clos cluster, 2 KB NIC-based multicast,
 /// modest iteration count (the shard partition splits it four leaf-aligned
@@ -21,14 +20,14 @@ fn workload(shards: u32) -> McastRun {
 
 fn bench_parallel_dispatch(c: &mut Criterion) {
     // Pin the event count once so the throughput label is honest.
-    let events = execute_instrumented(&workload(1), ProbeConfig::off()).output.events;
+    let events = execute_watched(&workload(1), &Observe::off()).output.events;
     let mut g = c.benchmark_group("parallel");
     g.throughput(Throughput::Elements(events));
     for shards in [1u32, 2, 4] {
         let run = workload(shards);
         g.bench_function(format!("dispatch_32n_{shards}_shards"), |b| {
             b.iter(|| {
-                let out = execute_instrumented(&run, ProbeConfig::off());
+                let out = execute_watched(&run, &Observe::off());
                 assert_eq!(out.output.events, events, "sharding changed the event stream");
             });
         });

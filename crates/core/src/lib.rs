@@ -40,6 +40,7 @@ mod calibrate;
 mod ext;
 pub mod features;
 mod group;
+mod pipeline;
 mod replay;
 mod scenario;
 mod sweep;
@@ -56,6 +57,7 @@ pub use group::{
     FwdTokenPolicy, McastConfig, McastNotice, McastRequest, MultisendImpl, ReduceOp,
     RetxBufferPolicy,
 };
+pub use pipeline::{mcast_cluster, run_pipeline, Harvest, Observe};
 pub use replay::{replay, ReplayDrop, ReplayOutcome, ReplaySpec};
 pub use scenario::{BuiltScenario, Report, Scenario, ScenarioError};
 pub use sweep::Sweep;
@@ -65,7 +67,6 @@ pub use workload::{
     Workload, WorkloadError, WorkloadGroup, WorkloadReport, MAX_GROUPS,
 };
 pub use workloads::{
-    build_cluster, env_shards, execute_instrumented, execute_max_over_probes, execute_observed,
-    execute_watched, AckMode, InstrumentedOutput, McastMode, McastRun, RunOutput, Shared,
+    build_cluster, env_shards, execute_watched, AckMode, McastMode, McastRun, RunOutput, Shared,
     DATA_PORT, REPLY_PORT,
 };

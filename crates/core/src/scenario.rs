@@ -4,9 +4,10 @@
 //! hand. It validates everything at [`build`](Scenario::build) time (instead
 //! of panicking mid-run), resolves [`TreeShape::Auto`] against the
 //! calibrated postal model, and threads an observability configuration
-//! ([`ProbeConfig`]) through to the cluster, so one run returns a [`Report`]
-//! carrying latency statistics, a counter snapshot, the probe event history
-//! and a latency-attribution breakdown.
+//! ([`Observe`]: probes, series, watch) through the
+//! [run pipeline](crate::run_pipeline) every run family shares, so one run
+//! returns a [`Report`] carrying latency statistics, a counter snapshot,
+//! the probe event history and a latency-attribution breakdown.
 //!
 //! ```
 //! use nic_mcast::{ProbeConfig, Scenario, TreeShape};
@@ -24,17 +25,16 @@
 //! ```
 
 use gm::GmParams;
-use gm_sim::probe::{attribution, attribution::Attribution, ProbeConfig};
+use gm_sim::probe::{attribution::Attribution, ProbeConfig};
 use gm_sim::watch::Incident;
 use gm_sim::{SeriesConfig, SimTime, WatchConfig};
 use myrinet::{FaultPlan, NetParams, NodeId};
 
 use crate::calibrate::shape_for_size;
 use crate::group::McastConfig;
+use crate::pipeline::Observe;
 use crate::tree::TreeShape;
-use crate::workloads::{
-    execute_watched, AckMode, InstrumentedOutput, McastMode, McastRun, RunOutput,
-};
+use crate::workloads::{execute_watched, AckMode, McastMode, McastRun, RunOutput};
 
 /// A validated-at-build measurement scenario.
 ///
@@ -46,9 +46,7 @@ use crate::workloads::{
 #[derive(Clone, Debug)]
 pub struct Scenario {
     run: McastRun,
-    probes: ProbeConfig,
-    series: SeriesConfig,
-    watch: WatchConfig,
+    observe: Observe,
     dests_overridden: bool,
 }
 
@@ -109,9 +107,7 @@ impl Scenario {
         run.n_nodes = n_nodes;
         Scenario {
             run,
-            probes: ProbeConfig::off(),
-            series: SeriesConfig::off(),
-            watch: WatchConfig::off(),
+            observe: Observe::off(),
             dests_overridden: false,
         }
     }
@@ -226,14 +222,14 @@ impl Scenario {
     /// Observability configuration (default: [`ProbeConfig::off`], which
     /// records nothing and allocates nothing).
     pub fn probes(mut self, config: ProbeConfig) -> Scenario {
-        self.probes = config;
+        self.observe.probes = config;
         self
     }
 
     /// Gauge time-series configuration (default: [`SeriesConfig::off`],
     /// which records nothing and allocates nothing).
     pub fn series(mut self, config: SeriesConfig) -> Scenario {
-        self.series = config;
+        self.observe.series = config;
         self
     }
 
@@ -245,7 +241,7 @@ impl Scenario {
     /// pair this with [`series`](Scenario::series) (and
     /// [`probes`](Scenario::probes) for causal flow evidence).
     pub fn watch(mut self, config: WatchConfig) -> Scenario {
-        self.watch = config;
+        self.observe.watch = config;
         self
     }
 
@@ -264,9 +260,7 @@ impl Scenario {
     pub fn build(self) -> Result<BuiltScenario, ScenarioError> {
         let Scenario {
             mut run,
-            probes,
-            series,
-            watch,
+            observe,
             dests_overridden,
         } = self;
         if run.n_nodes < 2 {
@@ -324,7 +318,7 @@ impl Scenario {
                 McastMode::HostBased => TreeShape::Binomial,
             };
         }
-        Ok(BuiltScenario { run, probes, series, watch })
+        Ok(BuiltScenario { run, observe })
     }
 
     /// Build and execute, returning the [`Report`].
@@ -343,9 +337,7 @@ impl Scenario {
 #[derive(Clone, Debug)]
 pub struct BuiltScenario {
     run: McastRun,
-    probes: ProbeConfig,
-    series: SeriesConfig,
-    watch: WatchConfig,
+    observe: Observe,
 }
 
 impl BuiltScenario {
@@ -354,45 +346,24 @@ impl BuiltScenario {
         &self.run
     }
 
-    /// The observability configuration.
-    pub fn probe_config(&self) -> ProbeConfig {
-        self.probes
-    }
-
-    /// The gauge time-series configuration.
-    pub fn series_config(&self) -> SeriesConfig {
-        self.series
-    }
-
-    /// The health-monitoring configuration.
-    pub fn watch_config(&self) -> WatchConfig {
-        self.watch
-    }
-
     /// Execute to completion.
     pub fn run(&self) -> Report {
-        let InstrumentedOutput {
-            output,
-            probe,
-            metrics,
-            windows,
-            series,
-            incidents,
-        } = execute_watched(&self.run, self.probes, self.series, self.watch);
-        let attribution = if self.probes.is_enabled() && !windows.is_empty() {
-            Some(attribution::attribute(probe.as_slice(), &windows))
-        } else {
-            None
-        };
-        Report {
-            output,
-            metrics,
-            probe,
-            windows,
-            attribution,
-            series,
-            incidents,
+        execute_watched(&self.run, &self.observe)
+    }
+
+    /// Run once per destination as the probe, with observability off, and
+    /// keep the slowest (the paper's max-over-leaves methodology).
+    pub fn run_max_over_probes(&self) -> RunOutput {
+        let mut worst: Option<RunOutput> = None;
+        for &probe in &self.run.dests {
+            let mut run = self.run.clone();
+            run.probe = probe;
+            let out = execute_watched(&run, &Observe::off()).output;
+            if worst.as_ref().is_none_or(|w| out.latency.mean() > w.latency.mean()) {
+                worst = Some(out);
+            }
         }
+        worst.expect("at least one destination")
     }
 }
 
@@ -405,7 +376,9 @@ pub struct Report {
     /// The latency measurements (also reachable through `Deref`).
     pub output: RunOutput,
     /// Counter snapshot: `nic.*` (summed over nodes), `fabric.*`,
-    /// `engine.*`.
+    /// `engine.events`, sink health (`probe.dropped_events`,
+    /// `series.dropped_points`) and — on sharded runs — `parallel.*`
+    /// execution statistics.
     pub metrics: gm_sim::Metrics,
     /// The recorded probe events (empty unless probes were enabled).
     pub probe: gm_sim::ProbeSink,

@@ -6,7 +6,16 @@
 use gm_sim::probe::{ProbeConfig, PKT_DROP};
 use gm_sim::{FlowGraph, FlowId};
 use myrinet::FaultPlan;
-use nic_mcast::{execute_instrumented, McastMode, McastRun, TreeShape};
+use nic_mcast::{execute_watched, McastMode, McastRun, Observe, TreeShape};
+
+/// One closed-loop run with span probes on.
+fn execute_probed(run: &McastRun) -> nic_mcast::Report {
+    let observe = Observe {
+        probes: ProbeConfig::spans(),
+        ..Observe::off()
+    };
+    execute_watched(run, &observe)
+}
 
 /// Collective-release flows (`BARRIER_TAG_BIT` folded onto tag bit 30 by
 /// `gm::flow_tag`) deliver through extension notices, not app receives, so
@@ -23,7 +32,7 @@ fn nic_broadcast_16x4k_buckets_sum_to_completion_latency() {
     let mut run = McastRun::new(16, 4096, McastMode::NicBased, TreeShape::KAry(2));
     run.warmup = 1;
     run.iters = 4;
-    let out = execute_instrumented(&run, ProbeConfig::spans());
+    let out = execute_probed(&run);
     assert_eq!(out.windows.len(), 4);
     let events = out.probe.to_vec();
     let graph = FlowGraph::build(&events);
@@ -61,7 +70,7 @@ fn lossy_go_back_n_keeps_retransmitted_hops_in_lineage() {
     run.warmup = 1;
     run.iters = 6;
     run.faults = FaultPlan::with_loss(0.08);
-    let out = execute_instrumented(&run, ProbeConfig::spans());
+    let out = execute_probed(&run);
     assert!(
         out.output.retransmissions > 0,
         "loss plan must actually trigger Go-Back-N"

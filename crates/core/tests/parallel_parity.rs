@@ -9,22 +9,27 @@ use gm_sim::probe::ProbeConfig;
 use gm_sim::{FlowGraph, SeriesConfig, SimTime, WatchConfig};
 use myrinet::{DropRule, FaultPlan, NodeId};
 use nic_mcast::{
-    execute_observed, ArrivalProcess, FanoutDist, InstrumentedOutput, McastMode, McastRun,
+    execute_watched, ArrivalProcess, FanoutDist, McastMode, McastRun, Observe, Report,
     StopCondition, TreeShape, Workload,
 };
 use proptest::prelude::*;
 
-fn run_with_shards(run: &McastRun, shards: u32, probes: ProbeConfig) -> InstrumentedOutput {
+fn run_with_shards(run: &McastRun, shards: u32, probes: ProbeConfig) -> Report {
     let mut r = run.clone();
     r.shards = shards;
-    execute_observed(&r, probes, SeriesConfig::on())
+    let observe = Observe {
+        probes,
+        series: SeriesConfig::on(),
+        watch: WatchConfig::off(),
+    };
+    execute_watched(&r, &observe)
 }
 
 /// The mode-independent slice of the gauge series: everything except
 /// `exec_*` gauges, which describe the execution itself (per-shard queue
 /// depths) and legitimately differ. `seq` is excluded too — renumbering
 /// interleaves differently once exec points are removed.
-fn sim_series(o: &InstrumentedOutput) -> Vec<(SimTime, u32, &'static str, u64)> {
+fn sim_series(o: &Report) -> Vec<(SimTime, u32, &'static str, u64)> {
     o.series
         .iter()
         .filter(|p| !p.gauge.starts_with("exec_"))

@@ -69,21 +69,27 @@ echo "ci: simlint report at results/simlint_report.json"
 run run -q --release -p simcheck "${CARGO_FLAGS[@]}" -- --ci
 echo "ci: simcheck report at results/simcheck_report.json"
 
+# Every step below rewrites committed artifacts under results/ (figure
+# JSONs, traces, the health report, perf records). Snapshot the directory
+# once: the steps compare their fresh output against the snapshot, and the
+# snapshot is copied back over results/ when the script exits, pass or fail.
+results_snapshot=$(mktemp -d)
+cp -a results/. "$results_snapshot"/
+restore_results() {
+  cp -a "$results_snapshot"/. results/
+  rm -rf "$results_snapshot"
+}
+trap restore_results EXIT
+
 # Observability gate: one probed run must export a Perfetto-loadable Chrome
 # trace-event document (--check re-parses it and validates ph/ts/pid/tid,
 # B/E balance and per-track timestamp monotonicity) with the attribution
 # buckets summing to the measured mean. The fresh trace must also equal the
 # committed one byte for byte: the probe stream is deterministic, so any
-# change to recording or to the canonical merge shows up here. The committed
-# artifact is restored after.
-trace_snapshot=$(mktemp)
-cp results/trace_nic_16n_4096B.json "$trace_snapshot"
+# change to recording or to the canonical merge shows up here.
 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin trace_explore -- \
   --nodes 16 --size 4096 --mode nic --shape adaptive --check
-trace_diff=0
-cmp results/trace_nic_16n_4096B.json "$trace_snapshot" || trace_diff=$?
-mv "$trace_snapshot" results/trace_nic_16n_4096B.json
-if (( trace_diff != 0 )); then
+if ! cmp results/trace_nic_16n_4096B.json "$results_snapshot/trace_nic_16n_4096B.json"; then
   echo "ci: trace_explore output differs from the committed results/trace_nic_16n_4096B.json" >&2
   exit 1
 fi
@@ -101,10 +107,8 @@ echo "ci: flow check OK (lineages complete, critical-path buckets exact)"
 # summary (schema keys present), monotone latency percentiles, a Jain
 # fairness index in (0, 1], and a conserved group table (every install
 # freed by the disband path) — see DESIGN.md §14. The run also records a
-# fresh `workload_explore` dispatch-rate point, gated below; the committed
-# baseline is snapshotted first and restored after.
-perf_snapshot=$(mktemp)
-cp results/perf_baseline.json "$perf_snapshot"
+# fresh `workload_explore` dispatch-rate point, gated below against the
+# snapshot's committed baseline.
 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin workload_explore -- \
   --nodes 32 --groups 64 --zipf 1.2 --rate 20000 --duration-ms 2 --check >/dev/null
 echo "ci: workload check OK (schema, percentile monotonicity, fairness, group-table conservation)"
@@ -117,32 +121,47 @@ echo "ci: workload check OK (schema, percentile monotonicity, fairness, group-ta
 # against the committed one with report_diff: identical configuration must
 # produce an identical report, so the differ's "silent on equal inputs"
 # contract and the artifact's byte-stability are both gated here.
-health_snapshot=$(mktemp)
-cp results/health_explore.json "$health_snapshot"
 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin health_explore -- --check >/dev/null
 echo "ci: health check OK (storm evidence, canonical order, shard-invariant, no ring drops)"
 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
-  "$health_snapshot" results/health_explore.json
-mv "$health_snapshot" results/health_explore.json
+  "$results_snapshot/health_explore.json" results/health_explore.json
 echo "ci: report_diff OK (re-run of identical config diffs clean)"
+
+# Figure-artifact oracle: every paper figure, ablation and extension binary,
+# rerun at its default arguments, must reproduce its committed JSON byte for
+# byte. The simulations are deterministic, so any change to simulated
+# behaviour (or to an artifact's schema) fails here until the artifact is
+# regenerated and committed with the change.
+figure_bins=(
+  fig3_multisend fig4_mpi_bcast fig5_gm_multicast fig6_skew fig7_skew_scaling gm_allsize
+  ablation_ack_coalesce ablation_loss ablation_multisend_impl ablation_retx_buffer
+  ablation_token ablation_tree
+  ext_allbcast ext_allreduce ext_nic_barrier ext_rndv_bcast ext_scalability ext_throughput
+)
+run build -q --release -p bench "${CARGO_FLAGS[@]}" --bins
+artifact_diffs=0
+for bin in "${figure_bins[@]}"; do
+  "${CARGO_TARGET_DIR:-target}/release/$bin" >/dev/null
+  if ! cmp "results/$bin.json" "$results_snapshot/$bin.json"; then
+    artifact_diffs=$((artifact_diffs + 1))
+  fi
+done
+if (( artifact_diffs != 0 )); then
+  echo "ci: $artifact_diffs figure artifacts differ from the committed results/*.json" >&2
+  exit 1
+fi
+echo "ci: artifact oracle OK (${#figure_bins[@]} figure JSONs byte-identical to the committed ones)"
 
 # Shard-parity gate on a figure artifact: the scalability sweep split into
 # 4 shards must reproduce the committed results/ext_scalability.json byte
 # for byte. It is a parity check, not a timing gate, so MYRI_CI_NO_PERF=1
 # does not skip it; since shards run on the calling thread it finishes in
 # well under a second, and a return of the shard-oversubscription slowdown
-# would show up as a stall here. The committed artifacts are restored after.
-sweep_ref=$(mktemp)
-perf_ref=$(mktemp)
-cp results/ext_scalability.json "$sweep_ref"
-cp results/perf_baseline.json "$perf_ref"
+# would show up as a stall here. Its sharded perf record is overwritten by
+# the unsharded gate run below.
 MYRI_SIM_SHARDS=4 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin ext_scalability -- \
   --iters 3 --warmup 1 >/dev/null
-parity=0
-cmp results/ext_scalability.json "$sweep_ref" || parity=$?
-mv "$sweep_ref" results/ext_scalability.json
-mv "$perf_ref" results/perf_baseline.json
-if (( parity != 0 )); then
+if ! cmp results/ext_scalability.json "$results_snapshot/ext_scalability.json"; then
   echo "ci: 4-shard ext_scalability differs from the committed results/ext_scalability.json" >&2
   exit 1
 fi
@@ -156,15 +175,13 @@ echo "ci: shard parity OK (4-shard ext_scalability matches the committed artifac
 # and passes with a SKIP line, counted into the final status line.
 # MYRI_CI_NO_PERF=1 opts out (e.g. on heavily loaded or throttled runners).
 if [[ "${MYRI_CI_NO_PERF:-}" == "1" ]]; then
-  mv "$perf_snapshot" results/perf_baseline.json
   echo "ci: perf gate skipped (MYRI_CI_NO_PERF=1)"
 else
-  sweep_snapshot=$(mktemp)
-  cp results/ext_scalability.json "$sweep_snapshot"
+  perf_baseline="$results_snapshot/perf_baseline.json"
   run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin ext_scalability -- \
     --iters 10 --warmup 2 >/dev/null
-  perf_gate ext_scalability "$perf_snapshot" results/perf_baseline.json 0.25
-  perf_gate workload_explore "$perf_snapshot" results/perf_baseline.json 0.25
+  perf_gate ext_scalability "$perf_baseline" results/perf_baseline.json 0.25
+  perf_gate workload_explore "$perf_baseline" results/perf_baseline.json 0.25
   # Allocation-churn gate: re-measure with the counting allocator compiled
   # in (records under `ext_scalability_alloc` so it never collides with the
   # timing baseline) and fail on a >10% allocs-per-event regression. The
@@ -172,10 +189,7 @@ else
   # allocations amortize identically.
   run run -q --release -p bench --features alloc-count "${CARGO_FLAGS[@]}" \
     --bin ext_scalability -- --iters 3 --warmup 1 >/dev/null
-  perf_gate ext_scalability_alloc "$perf_snapshot" results/perf_baseline.json 0.25
-  # The gate runs used reduced iterations; restore the committed artifacts.
-  mv "$perf_snapshot" results/perf_baseline.json
-  mv "$sweep_snapshot" results/ext_scalability.json
+  perf_gate ext_scalability_alloc "$perf_baseline" results/perf_baseline.json 0.25
 fi
 
 if (( perf_skips > 0 )); then

@@ -1,7 +1,7 @@
 //! Workspace-level integration tests: every layer of the stack exercised
 //! together, from the event engine up through the MPI library.
 
-use myri_mcast::mcast::{execute_max_over_probes, AckMode, McastMode, McastRun, TreeShape};
+use myri_mcast::mcast::{AckMode, McastMode, McastRun, TreeShape};
 use myri_mcast::mpi::{execute_mpi, BcastImpl, MpiOp, MpiRun};
 use myri_mcast::net::FaultPlan;
 use myri_mcast::sim::SimDuration;
@@ -94,7 +94,7 @@ fn max_over_probes_dominates_single_probe() {
         .iters(10)
         .build()
         .expect("valid scenario");
-    let max = execute_max_over_probes(built.spec()).latency.mean();
+    let max = built.run_max_over_probes().latency.mean();
     let single = built.run().latency.mean();
     assert!(max >= single * 0.999, "max {max:.2} vs single {single:.2}");
 }
