@@ -304,24 +304,7 @@ fn main() {
     // Ring overflow: a hard --check failure (dropped records mean the
     // lineage/telemetry silently lies); a warning otherwise. Opt up with
     // --probe-capacity / --series-capacity rather than tolerating drops.
-    let dropped_events = report.metrics.get("probe.dropped_events");
-    if dropped_events > 0 {
-        let msg = format!(
-            "probe ring overflowed, {dropped_events} events dropped — lineage is incomplete \
-             (rerun with --probe-capacity)"
-        );
-        if o.check {
-            failures.push(msg);
-        } else {
-            eprintln!("warning: {msg}");
-        }
-    }
-    let dropped_points = report.metrics.get("series.dropped_points");
-    if dropped_points > 0 {
-        let msg = format!(
-            "series ring overflowed, {dropped_points} points dropped — gauge summaries are \
-             incomplete (rerun with --series-capacity)"
-        );
+    for msg in bench::ring_drops(&report.metrics) {
         if o.check {
             failures.push(msg);
         } else {

@@ -156,6 +156,30 @@ where
     })
 }
 
+/// One message per observability ring that overflowed during a run
+/// (`probe.dropped_events`, `series.dropped_points` in `metrics`): dropped
+/// records mean the lineage, evidence or gauge telemetry silently lies.
+/// The explorer binaries fail on these under `--check` and print them as
+/// stderr warnings otherwise.
+pub fn ring_drops(metrics: &gm_sim::Metrics) -> Vec<String> {
+    let mut out = Vec::new();
+    let events = metrics.get("probe.dropped_events");
+    if events > 0 {
+        out.push(format!(
+            "probe ring overflowed, {events} events dropped — lineage and evidence are \
+             incomplete (rerun with --probe-capacity)"
+        ));
+    }
+    let points = metrics.get("series.dropped_points");
+    if points > 0 {
+        out.push(format!(
+            "series ring overflowed, {points} points dropped — gauge summaries are \
+             incomplete (rerun with --series-capacity)"
+        ));
+    }
+    out
+}
+
 /// A printable results table.
 pub struct Table {
     title: String,

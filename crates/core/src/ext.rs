@@ -980,7 +980,7 @@ impl McastExt {
             }
             rec.last_tx = Some(now); // pending retransmit counts as a round
         }
-        core.counters.add("mcast_retransmissions", queued);
+        core.add_mcast_retransmissions(queued);
         self.single_pending.extend(to_queue);
         // Re-arm.
         let g = self.groups.get_mut(&group).expect("group exists");

@@ -611,11 +611,6 @@ impl<X: NicExtension> Cluster<X> {
         }
         let li = self.local(node);
         let nic = &self.slots[li].nic;
-        // Cumulative retransmissions (unicast Go-Back-N + multicast) sampled
-        // as a step function of NIC state, so rate-of-change health
-        // detectors (`sim::watch`) can resolve storms in time.
-        let retx =
-            nic.counters.get("retransmissions") + nic.counters.get("mcast_retransmissions");
         self.series.record_row(
             now,
             node.0,
@@ -628,7 +623,11 @@ impl<X: NicExtension> Cluster<X> {
                 nic.pci_queue_len() as u64,
                 nic.tx_queue_len() as u64,
                 nic.groups_used() as u64,
-                retx,
+                // Cumulative retransmissions (unicast Go-Back-N +
+                // multicast) as a step function of NIC state, so
+                // rate-of-change health detectors (`sim::watch`) can
+                // resolve storms in time.
+                nic.retransmitted(),
             ],
         );
     }

@@ -363,6 +363,10 @@ pub struct NicCore<X: NicExtension> {
 
     /// Protocol counters (packets, drops, retransmissions...).
     pub counters: Counters,
+    /// Packets retransmitted so far: the `retransmissions` plus
+    /// `mcast_retransmissions` counters as one typed total, so the per-pump
+    /// `retx_total` gauge sample needs no counter lookup.
+    retransmitted: u64,
 }
 
 impl<X: NicExtension> NicCore<X> {
@@ -396,12 +400,26 @@ impl<X: NicExtension> NicCore<X> {
             ext_waiting: false,
             resource_freed: false,
             counters: Counters::new(),
+            retransmitted: 0,
         }
     }
 
     /// This NIC's node id.
     pub fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// Count `n` packets the multicast extension queued for retransmission:
+    /// the `mcast_retransmissions` counter and [`Self::retransmitted`].
+    pub fn add_mcast_retransmissions(&mut self, n: u64) {
+        self.counters.add("mcast_retransmissions", n);
+        self.retransmitted += n;
+    }
+
+    /// Packets retransmitted so far, unicast and multicast: always
+    /// `retransmissions + mcast_retransmissions` of [`Self::counters`].
+    pub fn retransmitted(&self) -> u64 {
+        self.retransmitted
     }
 
     /// Current simulated time (updated by the cluster before each call).
@@ -1223,7 +1241,9 @@ impl<X: NicExtension> NicCore<X> {
                 for &seq in retx.iter().rev() {
                     conn.sdma_wait.push_front(SdmaReq { seq, retx: true });
                 }
+                // The typed total moves with the counter (`retransmitted`).
                 self.counters.add("retransmissions", retx.len() as u64);
+                self.retransmitted += retx.len() as u64;
                 conn.timer_armed = true;
                 conn.timer_gen += 1;
                 let gen = conn.timer_gen;

@@ -22,8 +22,6 @@
 //! [`GaugeSummary`] rows: min/max/last, a time-weighted mean, and a
 //! fixed-width histogram of time spent at each value band.
 
-use std::collections::BTreeMap;
-
 use crate::canonical::{self, Canonical};
 use crate::time::SimTime;
 
@@ -342,28 +340,35 @@ impl SeriesSink {
     /// Fold every `(node, gauge)` step function into a [`GaugeSummary`],
     /// sorted by `(gauge, node)`. Each function is evaluated from its first
     /// transition to `end`.
+    ///
+    /// One [`GaugeGroups`] regroup lists each function's points in stream
+    /// order as positions into the ring, and each group is folded in two
+    /// passes over its own points, so the cost is linear in the points held.
     pub fn summarize(&self, end: SimTime) -> Vec<GaugeSummary> {
-        // One pass groups the points per (gauge, node), preserving stream
-        // order; the BTreeMap iterates the groups in (gauge, node) order.
-        let mut groups: BTreeMap<(&'static str, u32), Vec<&SeriesPoint>> = BTreeMap::new();
-        for p in self.iter() {
-            groups.entry((p.gauge, p.node)).or_default().push(p);
-        }
+        let groups = GaugeGroups::new(self.iter());
+        // Stream position → point, ring rotation applied.
+        let (tail, front) = self.points.split_at(self.head.min(self.points.len()));
+        let point = |i: u32| {
+            let i = i as usize;
+            front.get(i).unwrap_or_else(|| &tail[i - front.len()])
+        };
         let mut out = Vec::with_capacity(groups.len());
-        for ((gauge, node), pts) in groups {
-            let min = pts.iter().map(|p| p.value).min().unwrap_or(0);
-            let max = pts.iter().map(|p| p.value).max().unwrap_or(0);
-            let last = pts.last().map_or(0, |p| p.value);
+        for (gauge, node, at) in groups.iter() {
+            let (mut min, mut max) = (u64::MAX, 0);
+            for &i in at {
+                let v = point(i).value;
+                min = min.min(v);
+                max = max.max(v);
+            }
+            let last = at.last().map_or(0, |&i| point(i).value);
             // Durations at each value: from each transition to the next
             // (or to `end`).
             let mut weighted: u128 = 0;
             let mut span: u64 = 0;
             let mut hist = [0u64; HIST_BINS];
-            for (i, p) in pts.iter().enumerate() {
-                let until = pts
-                    .get(i + 1)
-                    .map_or(end, |n| n.time)
-                    .max(p.time);
+            for (k, &i) in at.iter().enumerate() {
+                let p = point(i);
+                let until = at.get(k + 1).map_or(end, |&n| point(n).time).max(p.time);
                 let dur = until.as_nanos().saturating_sub(p.time.as_nanos());
                 if dur == 0 {
                     continue;
@@ -397,8 +402,106 @@ impl SeriesSink {
     }
 }
 
+/// A point stream regrouped into its `(gauge, node)` step functions: the
+/// one regroup behind [`SeriesSink::summarize`] and
+/// `WatchEngine::scan_series`.
+///
+/// Groups come in `(gauge, node)` order, each listing its points as
+/// positions in the input stream, in stream order. The regroup is a
+/// counting sort over dense `(gauge, node)` group ids: a gauge name is
+/// interned by address first and by string only on an address miss (two
+/// spellings of one name are one gauge), then indexes a per-gauge table of
+/// node ids. No point is string-compared or looked up in a map; only the
+/// groups themselves are sorted by name. Node ids index the table directly,
+/// as they index the recording sink's own dedup table.
+pub(crate) struct GaugeGroups {
+    /// Stream positions, grouped.
+    at: Vec<u32>,
+    /// Per group, in `(gauge, node)` order: the gauge, the node, and the
+    /// end of its positions in `at` (each group starts where the previous
+    /// one ends).
+    groups: Vec<(&'static str, u32, u32)>,
+}
+
+impl GaugeGroups {
+    /// Group id marking a node without points in a gauge's table.
+    const NONE: u32 = u32::MAX;
+
+    /// Regroup `points` (positions count from 0 in iteration order).
+    pub(crate) fn new<'a>(points: impl IntoIterator<Item = &'a SeriesPoint>) -> GaugeGroups {
+        // Distinct gauge names, each with its node → group id table.
+        let mut names: Vec<(&'static str, Vec<u32>)> = Vec::new();
+        // Every address a name was seen at, with the name's index.
+        let mut spellings: Vec<(&'static str, usize)> = Vec::new();
+        // Per group: (name index, node) and its point count.
+        let mut keys: Vec<(usize, u32)> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        // Per point: its group id.
+        let mut gid: Vec<u32> = Vec::new();
+        for p in points {
+            let ni = match spellings.iter().find(|(g, _)| std::ptr::eq(*g, p.gauge)) {
+                Some(&(_, ni)) => ni,
+                None => {
+                    let ni = names.iter().position(|(g, _)| *g == p.gauge).unwrap_or_else(|| {
+                        names.push((p.gauge, Vec::new()));
+                        names.len() - 1
+                    });
+                    spellings.push((p.gauge, ni));
+                    ni
+                }
+            };
+            let table = &mut names[ni].1;
+            let node = p.node as usize;
+            if node >= table.len() {
+                table.resize(node + 1, Self::NONE);
+            }
+            if table[node] == Self::NONE {
+                table[node] = keys.len() as u32;
+                keys.push((ni, p.node));
+                counts.push(0);
+            }
+            counts[table[node] as usize] += 1;
+            gid.push(table[node]);
+        }
+
+        // Order the groups by (name, node), lay their positions out in that
+        // order, then place every point at its group's cursor.
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_unstable_by_key(|&g| (names[keys[g].0].0, keys[g].1));
+        let mut cursor = vec![0u32; keys.len()];
+        let mut groups = Vec::with_capacity(keys.len());
+        let mut end = 0u32;
+        for &g in &order {
+            cursor[g] = end;
+            end += counts[g];
+            groups.push((names[keys[g].0].0, keys[g].1, end));
+        }
+        let mut at = vec![0u32; gid.len()];
+        for (i, g) in gid.into_iter().enumerate() {
+            let c = &mut cursor[g as usize];
+            at[*c as usize] = i as u32;
+            *c += 1;
+        }
+        GaugeGroups { at, groups }
+    }
+
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// `(gauge, node, positions)` per group, in `(gauge, node)` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, u32, &[u32])> + '_ {
+        let starts = std::iter::once(0).chain(self.groups.iter().map(|g| g.2));
+        self.groups
+            .iter()
+            .zip(starts)
+            .map(|(&(gauge, node, end), start)| (gauge, node, &self.at[start as usize..end as usize]))
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn at(ns: u64) -> SimTime {
@@ -546,6 +649,95 @@ mod tests {
             let want: Vec<SeriesPoint> = by_gauge.iter().copied().collect();
             proptest::prop_assert_eq!(got, want);
         }
+    }
+
+    /// [`SeriesSink::summarize`] with the `BTreeMap` regroup that
+    /// [`GaugeGroups`] replaced: the oracle for both.
+    fn summarize_reference(sink: &SeriesSink, end: SimTime) -> Vec<GaugeSummary> {
+        let mut groups: std::collections::BTreeMap<(&'static str, u32), Vec<&SeriesPoint>> =
+            std::collections::BTreeMap::new();
+        for p in sink.iter() {
+            groups.entry((p.gauge, p.node)).or_default().push(p);
+        }
+        let mut out = Vec::with_capacity(groups.len());
+        for ((gauge, node), pts) in groups {
+            let min = pts.iter().map(|p| p.value).min().unwrap_or(0);
+            let max = pts.iter().map(|p| p.value).max().unwrap_or(0);
+            let last = pts.last().map_or(0, |p| p.value);
+            let mut weighted: u128 = 0;
+            let mut span: u64 = 0;
+            let mut hist = [0u64; HIST_BINS];
+            for (i, p) in pts.iter().enumerate() {
+                let until = pts.get(i + 1).map_or(end, |n| n.time).max(p.time);
+                let dur = until.as_nanos().saturating_sub(p.time.as_nanos());
+                if dur == 0 {
+                    continue;
+                }
+                weighted += u128::from(dur) * u128::from(p.value);
+                span += dur;
+                let bin = if max == min {
+                    0
+                } else {
+                    (((p.value - min) * HIST_BINS as u64) / (max - min + 1)) as usize
+                };
+                hist[bin.min(HIST_BINS - 1)] += dur;
+            }
+            let mean_x1000 = if span == 0 {
+                last * 1000
+            } else {
+                ((weighted * 1000) / u128::from(span)) as u64
+            };
+            out.push(GaugeSummary {
+                gauge,
+                node,
+                min,
+                max,
+                last,
+                mean_x1000,
+                hist,
+            });
+        }
+        out
+    }
+
+    /// A sink whose gauges include one name at two addresses (`"tokens"`
+    /// from a literal and from a leaked `String`) and whose node ids are
+    /// sparse. Each point is `(time step, node pick, gauge pick, value)`.
+    pub(crate) fn sparse_sink(capacity: usize, pts: &[(u64, usize, usize, u64)]) -> SeriesSink {
+        const NODES: [u32; 5] = [0, 1, 7, 300, 4096];
+        let tokens_again: &'static str = Box::leak(String::from("tokens").into_boxed_str());
+        let gauges = ["tokens", tokens_again, "queue", "exec_depth"];
+        assert!(!std::ptr::eq(gauges[0], gauges[1]));
+        let mut s = SeriesSink::new(SeriesConfig::with_capacity(capacity));
+        let mut t = 0;
+        for &(step, n, g, v) in pts {
+            t += step;
+            s.record(at(t), NODES[n % NODES.len()], gauges[g % gauges.len()], v);
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn summarize_matches_the_btreemap_reference(
+            capacity in 1usize..96,
+            pts in proptest::collection::vec((0u64..4, 0usize..5, 0usize..4, 0u64..6), 0..128),
+            tail in 0u64..50,
+        ) {
+            let sink = sparse_sink(capacity, &pts);
+            let t = sink.iter().last().map_or(0, |p| p.time.as_nanos());
+            let end = at((t + tail).saturating_sub(25));
+            proptest::prop_assert_eq!(sink.summarize(end), summarize_reference(&sink, end));
+        }
+    }
+
+    #[test]
+    fn two_spellings_of_a_gauge_summarize_as_one() {
+        let s = sparse_sink(16, &[(1, 3, 0, 2), (1, 3, 1, 5), (1, 4, 1, 1)]);
+        let keys: Vec<(&str, u32)> = s.summarize(at(10)).iter().map(|g| (g.gauge, g.node)).collect();
+        assert_eq!(keys, vec![("tokens", 300), ("tokens", 4096)]);
+        assert_eq!(s.summarize(at(10)), summarize_reference(&s, at(10)));
     }
 
     #[test]

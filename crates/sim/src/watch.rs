@@ -28,7 +28,7 @@
 use crate::critical_path::FlowGraph;
 use crate::flow::FlowId;
 use crate::probe::{Metrics, ProbeEvent};
-use crate::series::SeriesPoint;
+use crate::series::{GaugeGroups, SeriesPoint};
 use crate::time::{SimDuration, SimTime};
 
 /// Evidence cap per incident: enough flows to chase a storm to its origin,
@@ -437,6 +437,11 @@ impl WatchEngine {
     /// Evaluate the gauge detectors over a series stream (must already be
     /// canonically merged). Returns incidents in canonical order, without
     /// evidence — call [`attach_evidence`] afterwards.
+    ///
+    /// The stream is regrouped once into per-`(gauge, node)` step functions
+    /// (the counting-sort regroup `SeriesSink::summarize` uses), held as
+    /// positions into the stream; each detector then walks the groups of
+    /// its gauge in node order.
     pub fn scan_series<'a>(
         &self,
         points: impl IntoIterator<Item = &'a SeriesPoint>,
@@ -444,19 +449,8 @@ impl WatchEngine {
         if !self.config.is_enabled() {
             return Vec::new();
         }
-        // Regroup the canonical (time, node, gauge) stream into per-signal
-        // step functions. BTreeMap keeps (node, gauge) iteration stable.
-        let mut signals: std::collections::BTreeMap<(u32, &'static str), Vec<(u64, u64)>> =
-            std::collections::BTreeMap::new();
-        for p in points {
-            if p.gauge.starts_with("exec_") {
-                continue; // execution gauges are not health signals
-            }
-            signals
-                .entry((p.node, p.gauge))
-                .or_default()
-                .push((p.time.as_nanos(), p.value));
-        }
+        let points: Vec<&SeriesPoint> = points.into_iter().collect();
+        let groups = GaugeGroups::new(points.iter().copied());
         let w_ns = self.config.window().as_nanos().max(1);
         let mut incidents = Vec::new();
         for d in &self.detectors {
@@ -466,39 +460,49 @@ impl WatchEngine {
                 DetectorKind::Saturation { gauge, sustain, .. } => (gauge, sustain.max(1)),
                 DetectorKind::Counter { .. } => continue,
             };
-            for ((node, g), steps) in &signals {
-                if *g != gauge {
+            if gauge.starts_with("exec_") {
+                continue; // execution gauges are not health signals
+            }
+            for (g, node, at) in groups.iter() {
+                if g != gauge {
                     continue;
                 }
-                self.scan_signal(d, *node, steps, w_ns, sustain, &mut incidents);
+                self.scan_signal(d, node, at, &points, w_ns, sustain, &mut incidents);
             }
         }
         sort_canonical(&mut incidents);
         incidents
     }
 
-    /// Evaluate one detector over one `(node, gauge)` step function.
+    /// Evaluate one detector over one `(node, gauge)` step function: the
+    /// points at positions `at` of `points`.
+    #[allow(clippy::too_many_arguments)] // internal plumbing, not API
     fn scan_signal(
         &self,
         d: &Detector,
         node: u32,
-        steps: &[(u64, u64)],
+        at: &[u32],
+        points: &[&SeriesPoint],
         w_ns: u64,
         sustain: u32,
         incidents: &mut Vec<Incident>,
     ) {
-        let first = match steps.first() {
-            Some(&(t, _)) => t,
-            None => return,
+        // Transition `k` as `(time in ns, value)`.
+        let step = |k: usize| {
+            let p = points[at[k] as usize];
+            (p.time.as_nanos(), p.value)
         };
-        let last = steps.last().expect("nonempty steps have a last element").0;
+        if at.is_empty() {
+            return;
+        }
+        let (first, mut cur) = step(0);
+        let last = step(at.len() - 1).0;
         let first_win = first / w_ns;
         let last_win = last / w_ns;
         // Walk the windows once, tracking the step function: `si` is the
         // next transition to consume, `cur` the value holding at the
         // window's start.
         let mut si = 0usize;
-        let mut cur = steps[0].1;
         // A run of consecutive firing windows, merged into one incident.
         let mut run_start: Option<u64> = None;
         let mut run_peak = 0u64;
@@ -507,8 +511,8 @@ impl WatchEngine {
             let win_end = (win + 1) * w_ns;
             let start_val = cur;
             let mut win_max = cur;
-            while si < steps.len() && steps[si].0 < win_end {
-                cur = steps[si].1;
+            while si < at.len() && step(si).0 < win_end {
+                cur = step(si).1;
                 win_max = win_max.max(cur);
                 si += 1;
             }
@@ -835,6 +839,73 @@ mod tests {
             Thresh::count(1),
         )];
         attach_evidence(&mut incs, &s.to_vec());
+    }
+
+    /// [`WatchEngine::scan_series`] with the `BTreeMap` regroup that
+    /// `GaugeGroups` replaced: the oracle for the regroup.
+    fn scan_series_reference(eng: &WatchEngine, points: &[&SeriesPoint]) -> Vec<Incident> {
+        let mut signals: std::collections::BTreeMap<(u32, &'static str), Vec<u32>> =
+            std::collections::BTreeMap::new();
+        for (i, p) in points.iter().enumerate() {
+            if !p.gauge.starts_with("exec_") {
+                signals.entry((p.node, p.gauge)).or_default().push(i as u32);
+            }
+        }
+        let w_ns = eng.config.window().as_nanos().max(1);
+        let mut incidents = Vec::new();
+        for d in &eng.detectors {
+            let (gauge, sustain) = match d.kind {
+                DetectorKind::Threshold { gauge, sustain, .. } => (gauge, sustain.max(1)),
+                DetectorKind::RateOfChange { gauge, .. } => (gauge, 1),
+                DetectorKind::Saturation { gauge, sustain, .. } => (gauge, sustain.max(1)),
+                DetectorKind::Counter { .. } => continue,
+            };
+            for ((node, g), at) in &signals {
+                if *g == gauge {
+                    eng.scan_signal(d, *node, at, points, w_ns, sustain, &mut incidents);
+                }
+            }
+        }
+        sort_canonical(&mut incidents);
+        incidents
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn scan_series_matches_the_btreemap_reference(
+            capacity in 1usize..96,
+            pts in proptest::collection::vec((0u64..4, 0usize..5, 0usize..4, 0u64..6), 0..128),
+            min in 1u64..6,
+            sustain in 1u32..3,
+        ) {
+            let sink = crate::series::tests::sparse_sink(capacity, &pts);
+            let mut eng = WatchEngine::new(WatchConfig::with_window(SimDuration::from_nanos(3)));
+            for gauge in ["tokens", "queue", "exec_depth"] {
+                eng = eng.detectors([
+                    Detector {
+                        id: "hot",
+                        severity: Severity::Warn,
+                        kind: DetectorKind::Threshold { gauge, min: Thresh::count(min), sustain },
+                    },
+                    Detector {
+                        id: "climb",
+                        severity: Severity::Warn,
+                        kind: DetectorKind::RateOfChange { gauge, rate: Thresh::per_ms(min * 200_000) },
+                    },
+                    Detector {
+                        id: "full",
+                        severity: Severity::Critical,
+                        kind: DetectorKind::Saturation { gauge, capacity: 5, pct: Thresh::pct(min * 20), sustain },
+                    },
+                ]);
+            }
+            let points: Vec<&SeriesPoint> = sink.iter().collect();
+            proptest::prop_assert_eq!(
+                eng.scan_series(sink.iter()),
+                scan_series_reference(&eng, &points)
+            );
+        }
     }
 
     #[test]
